@@ -11,7 +11,7 @@ Subpackages by theme:
 - ``cli``: command-line front end (``fieldarm`` entry point).
 """
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 from .errors import FieldArmError
 

@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .environment import (
     FeasibilityStatus,
@@ -29,6 +28,7 @@ from .kinematics import (
     Pose,
     angles_for_direction,
     magnet_pose_for_field_direction,
+    quantize_position,
     unit_normal,
 )
 from .magnetostatics import MagnetSpec, cylinder_field, inverse_dipole
@@ -43,7 +43,6 @@ class ScanPoint:
     pose: Pose
     predicted_field: np.ndarray   # T, world frame
     order_index: int
-    measured_field: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,7 @@ class AmplitudeSchedule:
     distances: np.ndarray    # m, quantised to the robot resolution
     achieved: np.ndarray     # T
     errors: np.ndarray       # T, achieved - target
-    error_bounds: np.ndarray  # T, worst-case |error| from quantisation
+    error_bounds: np.ndarray  # T, worst case of |error| over the snap window
 
 
 @dataclass(frozen=True)
@@ -89,16 +88,12 @@ def sphere_segment_scan(sample, alpha_y_values, alpha_z_values, standoff,
     if ay_vals.size == 0 or az_vals.size == 0:
         raise ValueError("scan grid must be non-empty")
     sample = np.asarray(sample, dtype=float)
-    points = []
-    idx = 0
-    for k, ay in enumerate(ay_vals):
-        row = az_vals if k % 2 == 0 else az_vals[::-1]
-        for az in row:
-            pose = magnet_pose_for_field_direction(sample, ay, az, standoff)
-            B = cylinder_field(spec, pose, sample)
-            points.append(ScanPoint(float(ay), float(az), pose, B, idx))
-            idx += 1
-    return points
+    grid = [(float(ay), float(az)) for k, ay in enumerate(ay_vals)
+            for az in (az_vals if k % 2 == 0 else az_vals[::-1])]
+    poses = [magnet_pose_for_field_direction(sample, ay, az, standoff) for ay, az in grid]
+    fields = cylinder_field(spec, [p.position for p in poses], [p.axis for p in poses], sample)
+    return [ScanPoint(ay, az, pose, B, i)
+            for i, ((ay, az), pose, B) in enumerate(zip(grid, poses, fields))]
 
 
 def angular_error(predicted, designed_direction) -> float:
@@ -112,33 +107,29 @@ def angular_error(predicted, designed_direction) -> float:
     return float(np.arccos(np.clip(c, -1.0, 1.0)))
 
 
-def calibrate_offsets(measured, specs, sample, standoff) -> CalibrationResult:
+def calibrate_offsets(measured, spec: MagnetSpec, sample, standoff) -> CalibrationResult:
     """Fit a shared alpha_y offset and per-mass alpha_z offsets to field data.
 
     `measured` rows: (commanded alpha_y, commanded alpha_z, mass_index,
-    Bx, By, Bz) with fields in tesla. `specs` is one MagnetSpec per mass
-    configuration (or a single spec used for all).
+    Bx, By, Bz) with fields in tesla. The magnet is the same in every mass
+    configuration; only its alpha_z offset differs.
     """
+    from scipy.optimize import least_squares
+
+    if standoff <= 0:
+        raise ValueError("standoff must be > 0")
     rows = [(float(ay), float(az), int(mi), np.asarray(B, dtype=float))
             for ay, az, mi, B in measured]
     n_mass = max(r[2] for r in rows) + 1
-    if isinstance(specs, MagnetSpec):
-        specs = [specs] * n_mass
-    if len(specs) < n_mass:
-        raise ValueError(f"need a MagnetSpec for each of {n_mass} mass configurations")
     for m in range(n_mass):
         if sum(1 for r in rows if r[2] == m) < 4:
             raise InsufficientData(f"mass configuration {m} has fewer than 4 measurements")
     sample = np.asarray(sample, dtype=float)
+    B_meas = np.array([r[3] for r in rows])
 
     def residual(params):
-        dy = params[0]
-        dz = params[1:]
-        out = []
-        for ay, az, mi, B in rows:
-            pose = magnet_pose_for_field_direction(sample, ay + dy, az + dz[mi], standoff)
-            out.append(cylinder_field(specs[mi], pose, sample) - B)
-        return np.concatenate(out)
+        n = np.array([unit_normal(ay + params[0], az + params[1 + mi]) for ay, az, mi, _ in rows])
+        return (cylinder_field(spec, sample - standoff * n, n, sample) - B_meas).ravel()
 
     sol = least_squares(residual, np.zeros(1 + n_mass), xtol=1e-14, ftol=1e-14, gtol=1e-14)
     if not sol.success or not np.all(np.isfinite(sol.x)):
@@ -151,18 +142,16 @@ def calibrate_offsets(measured, specs, sample, standoff) -> CalibrationResult:
     )
 
 
-def _magnitude_on_ray(spec, direction, sample, r):
-    pose = magnet_pose_for_field_direction(sample, *angles_for_direction(direction), r)
-    return float(np.linalg.norm(cylinder_field(spec, pose, sample)))
-
-
 def amplitude_schedule(targets, spec: MagnetSpec, direction, sample,
                        resolution=0.0005, r_min=None, r_max=0.6) -> AmplitudeSchedule:
     """Pick magnet distances realising each target amplitude on a fixed ray.
 
-    Inverts the monotone |B|(r) curve by bisection (1e-9 m), snaps each
-    distance to the robot resolution grid, and reports the achieved field,
-    signed error, and the worst-case quantisation error bound.
+    Inverts the monotone |B|(r) curve by bisection (1e-9 m), run on all
+    targets at once, snaps each distance to the robot resolution grid, and
+    reports the achieved field and signed error. The error bound is the
+    worst case over the snap window: with h = resolution / 2,
+    max(|B|(max(r_min, r - h)) - t, t - |B|(r + h)), which |error| never
+    exceeds because |B|(r) falls monotonically.
     """
     if resolution <= 0:
         raise ValueError("resolution must be > 0")
@@ -170,35 +159,34 @@ def amplitude_schedule(targets, spec: MagnetSpec, direction, sample,
     sample = np.asarray(sample, dtype=float)
     if r_min is None:
         r_min = spec.length / 2.0 + spec.outer_radius  # just clear of the magnet body
-    B_hi = _magnitude_on_ray(spec, direction, sample, r_min)
-    B_lo = _magnitude_on_ray(spec, direction, sample, r_max)
-    distances = np.empty_like(targets)
-    achieved = np.empty_like(targets)
-    bounds = np.empty_like(targets)
-    for i, t in enumerate(targets):
-        if t > B_hi or t < B_lo:
-            raise TargetUnreachable(
-                f"target {t:.4e} T outside achievable [{B_lo:.4e}, {B_hi:.4e}] T"
-            )
-        lo, hi = r_min, r_max
-        while hi - lo > 1e-9:
-            mid = (lo + hi) / 2.0
-            if _magnitude_on_ray(spec, direction, sample, mid) > t:
-                lo = mid
-            else:
-                hi = mid
-        r_exact = (lo + hi) / 2.0
-        r_q = max(r_min, round(r_exact / resolution) * resolution)
-        b_q = _magnitude_on_ray(spec, direction, sample, r_q)
-        # local slope of |B|(r) bounds the snap-to-grid error
-        h = resolution / 2.0
-        slope = abs(
-            _magnitude_on_ray(spec, direction, sample, r_exact + h)
-            - _magnitude_on_ray(spec, direction, sample, max(r_min, r_exact - h))
-        ) / (2.0 * h)
-        distances[i] = r_q
-        achieved[i] = b_q
-        bounds[i] = slope * resolution / 2.0
+    n = unit_normal(*angles_for_direction(direction))
+
+    def magnitude(r):
+        r = np.asarray(r, dtype=float)
+        return np.linalg.norm(cylinder_field(spec, sample - r[..., None] * n, n, sample), axis=-1)
+
+    B_hi, B_lo = magnitude([r_min, r_max])
+    unreachable = ~((targets >= B_lo) & (targets <= B_hi))
+    if np.any(unreachable):
+        t = targets[np.argmax(unreachable)]
+        raise TargetUnreachable(
+            f"target {t:.4e} T outside achievable [{B_lo:.4e}, {B_hi:.4e}] T"
+        )
+    lo = np.full_like(targets, r_min)
+    hi = np.full_like(targets, r_max)
+    while True:
+        active = hi - lo > 1e-9
+        if not np.any(active):
+            break
+        mid = (lo + hi) / 2.0
+        above = magnitude(mid) > targets
+        lo = np.where(active & above, mid, lo)
+        hi = np.where(active & ~above, mid, hi)
+    r_exact = (lo + hi) / 2.0
+    distances = np.maximum(r_min, quantize_position(r_exact, resolution))
+    h = resolution / 2.0
+    achieved, near, far = magnitude([distances, np.maximum(r_min, r_exact - h), r_exact + h])
+    bounds = np.maximum(near - targets, targets - far)
     return AmplitudeSchedule(targets, distances, achieved, achieved - targets, bounds)
 
 
@@ -217,7 +205,7 @@ def similarity(B1, B2, d_mT=SIMILARITY_SCALE_MT) -> float:
 FAR_FIELD_DIAMETERS = 8.0
 
 
-def replace_forbidden_pose(forbidden: Pose, sample, spec: MagnetSpec, env, dh, body,
+def replace_forbidden_pose(forbidden: Pose, sample, spec: MagnetSpec, env, dh,
                            displacement_axis="z", search_step=0.005, max_steps=40,
                            seed=None, magnitude_tol=1e-9) -> ReplacementPlan:
     """Four-stage replacement of a collision-forbidden magnet pose.
@@ -237,20 +225,20 @@ def replace_forbidden_pose(forbidden: Pose, sample, spec: MagnetSpec, env, dh, b
 
     def feasible(pose, thorough=True):
         # the tool capsule follows from the pose alone: cheap proof of collision
-        p, q, radius = tool_capsule_for_pose(dh, body, pose)
+        p, q, radius = tool_capsule_for_pose(dh, pose)
         if segment_collides(trees, p, q, radius):
             return False
         if thorough:
-            result = pose_feasibility(pose, dh, body, env, state["seed"], trees)
+            result = pose_feasibility(pose, dh, env, state["seed"], trees)
         else:
             # search phase: a missed branch just skips one candidate
-            result = pose_feasibility(pose, dh, body, env, state["seed"], trees,
+            result = pose_feasibility(pose, dh, env, state["seed"], trees,
                                       restarts=4, branch_attempts=2)
         if result.joints is not None:
             state["seed"] = result.joints
         return result.status is FeasibilityStatus.REACHABLE
 
-    target = cylinder_field(spec, forbidden, sample)
+    target = cylinder_field(spec, forbidden.position, forbidden.axis, sample)
     target_mag = float(np.linalg.norm(target))
 
     if feasible(forbidden):
@@ -272,12 +260,12 @@ def replace_forbidden_pose(forbidden: Pose, sample, spec: MagnetSpec, env, dh, b
 
         r0 = float(np.linalg.norm(r_vec))
         r_hat = r_vec / r0
+        n = rotated.axis
 
         def mag_at(dist):
-            pose = rotated.with_position(sample - dist * r_hat)
-            return float(np.linalg.norm(cylinder_field(spec, pose, sample)))
+            return float(np.linalg.norm(cylinder_field(spec, sample - dist * r_hat, n, sample)))
 
-        B_rot = cylinder_field(spec, rotated, sample)
+        B_rot = cylinder_field(spec, rotated.position, n, sample)
         r_guess = r0 * (np.linalg.norm(B_rot) / target_mag) ** (1.0 / 3.0)
         lo = max(r_guess / 2.0, r_clear)
         hi = r_guess * 2.0
@@ -294,7 +282,7 @@ def replace_forbidden_pose(forbidden: Pose, sample, spec: MagnetSpec, env, dh, b
         final = rotated.with_position(sample - ((lo + hi) / 2.0) * r_hat)
         if not feasible(final):
             return None
-        achieved = cylinder_field(spec, final, sample)
+        achieved = cylinder_field(spec, final.position, n, sample)
         return ReplacementPlan(
             original_pose=forbidden, displaced_pose=displaced, rotated_pose=rotated,
             final_pose=final, target_field=target, achieved_field=achieved,

@@ -30,7 +30,7 @@ from .alignment import (
 )
 from .config import RunConfig, load_config, config_from_dict
 from .environment import partition_pose_dictionary
-from .errors import ConfigError, FieldArmError, InsufficientData, ParseError
+from .errors import ConfigError, FieldArmError, InsufficientData, ParseError, UsageError
 from .kinematics import Pose, magnet_pose_for_field_direction, unit_normal
 from .nvspin import (
     GAMMA_E_DEFAULT,
@@ -40,7 +40,9 @@ from .nvspin import (
     odmr_spectrum,
 )
 
-_USAGE_ERRORS = (ConfigError, ParseError, InsufficientData)
+_USAGE_ERRORS = (ConfigError, ParseError, InsufficientData, UsageError)
+_STEP_COUNTS = ("ay_steps", "az_steps", "steps", "points")
+_POSITIVE = ("resolution_m", "linewidth_MHz")
 
 
 def _fmt(x) -> str:
@@ -243,7 +245,7 @@ def cmd_partition(args, config: RunConfig, units: Units) -> int:
     ay, az = _grid(args, units)
     points = sphere_segment_scan(config.sample, ay, az, args.standoff_m, config.magnet)
     results = partition_pose_dictionary(
-        [pt.pose for pt in points], config.dh, config.body, config.environment
+        [pt.pose for pt in points], config.dh, config.environment
     )
     a = units.angle_label
     columns = [f"alpha_y_{a}", f"alpha_z_{a}", "status", "order_index"]
@@ -265,8 +267,7 @@ def cmd_replace(args, config: RunConfig, units: Units) -> int:
     )
     plan = replace_forbidden_pose(
         forbidden, config.sample, config.magnet, config.environment, config.dh,
-        config.body, displacement_axis=args.axis, search_step=args.step_m,
-        max_steps=args.max_steps,
+        displacement_axis=args.axis, search_step=args.step_m, max_steps=args.max_steps,
     )
     f = units.field_label
     payload = {
@@ -338,6 +339,27 @@ def cmd_fit_nv(args, config: RunConfig, units: Units) -> int:
     }
     _emit(args, _json_text(payload))
     return 0
+
+
+def _check_args(args, config: RunConfig):
+    """Reject command-line values no command can work with, before any work.
+
+    Every float must be finite, step counts at least 1, the resolution and
+    linewidth positive, and the standoff must put the sample beyond the
+    magnet's end face.
+    """
+    for name, value in sorted(vars(args).items()):
+        flag = "--" + name.replace("_", "-")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise UsageError(f"{flag} must be finite, got {value}")
+        if name in _STEP_COUNTS and value < 1:
+            raise UsageError(f"{flag} must be >= 1, got {value}")
+        if name in _POSITIVE and value <= 0:
+            raise UsageError(f"{flag} must be > 0, got {value}")
+    half_length = config.magnet.length / 2.0
+    if getattr(args, "standoff_m", math.inf) <= half_length:
+        raise UsageError(f"--standoff-m {args.standoff_m} m puts the sample inside the "
+                         f"magnet (half-length {half_length} m)")
 
 
 def _angle_default(units_mode, deg_value):
@@ -446,6 +468,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             object.__setattr__(config, "seed", args.seed)
             config.resolved["seed"] = args.seed
+        _check_args(args, config)
         units = Units(args.units)
         return args.func(args, config, units)
     except _USAGE_ERRORS as exc:

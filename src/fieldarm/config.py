@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .environment import RobotBody, TriangleMesh, load_mesh
+from .environment import load_mesh
 from .errors import ConfigError
 from .kinematics import DHTable, N_JOINTS, default_dh_table
 from .magnetostatics import MagnetSpec, default_magnet_spec
@@ -46,12 +46,7 @@ class RunConfig:
     environment: list
     sample: np.ndarray
     seed: int
-    body: RobotBody = None
     resolved: dict = field(default_factory=dict)  # plain-data copy for artefact headers
-
-    def __post_init__(self):
-        if self.body is None:
-            object.__setattr__(self, "body", RobotBody.from_dh(self.dh))
 
 
 def _number(raw, where):

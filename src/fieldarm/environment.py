@@ -298,36 +298,6 @@ class AabbTree:
         return best
 
 
-# ---------------------------------------------------------------------------
-# robot body
-
-@dataclass(frozen=True)
-class RobotBody:
-    """Capsule approximation of the arm: one capsule per link plus the tool."""
-
-    radii: np.ndarray  # (7,) m
-
-    def __post_init__(self):
-        r = np.asarray(self.radii, dtype=float)
-        if r.shape != (7,):
-            raise ValueError("RobotBody needs 7 capsule radii (6 links + tool)")
-        if np.any(r <= 0):
-            raise ValueError("capsule radii must be > 0")
-        object.__setattr__(self, "radii", r)
-
-    def capsules(self, dh: DHTable, q) -> list[tuple[np.ndarray, np.ndarray, float]]:
-        frames = frame_chain(dh, q)
-        origins = [f[:3, 3] for f in frames]
-        caps = []
-        for i in range(7):
-            caps.append((origins[i], origins[i + 1], float(self.radii[i])))
-        return caps
-
-    @classmethod
-    def from_dh(cls, dh: DHTable) -> "RobotBody":
-        return cls(dh.link_radii)
-
-
 @dataclass(frozen=True)
 class CollisionResult:
     clear: bool
@@ -355,14 +325,13 @@ def build_trees(env: list[TriangleMesh]) -> list[AabbTree]:
     return [AabbTree(m) for m in env]
 
 
-def tool_capsule_for_pose(dh: DHTable, body: RobotBody, pose: Pose):
+def tool_capsule_for_pose(dh: DHTable, pose: Pose):
     """The magnet-tool capsule implied by a TCP pose alone (no IK needed).
 
     Every IK solution shares this capsule, so a hit here proves Collision.
     """
-    axis = pose.rotation() @ np.array([1.0, 0.0, 0.0])
     tip = pose.position
-    return tip - dh.tool_offset * axis, tip, float(body.radii[-1])
+    return tip - dh.tool_offset * pose.axis, tip, float(dh.link_radii[-1])
 
 
 def segment_collides(trees, p, q, radius) -> bool:
@@ -372,15 +341,20 @@ def segment_collides(trees, p, q, radius) -> bool:
     return False
 
 
-def check_collision(body: RobotBody, dh: DHTable, joints, env, trees=None) -> CollisionResult:
-    """Capsule-vs-mesh collision query for one joint configuration."""
+def check_collision(dh: DHTable, joints, env, trees=None) -> CollisionResult:
+    """Capsule-vs-mesh collision query for one joint configuration.
+
+    Capsule i spans the origins of frames i and i+1 of the frame chain
+    (base, six joints, TCP) with radius dh.link_radii[i].
+    """
     dh.check_limits(joints)
     if not env:
         return CollisionResult(clear=True, min_distance=None)
     if trees is None:
         trees = build_trees(env)
     best = np.inf
-    for p, q, radius in body.capsules(dh, joints):
+    origins = [f[:3, 3] for f in frame_chain(dh, joints)]
+    for p, q, radius in zip(origins, origins[1:], dh.link_radii):
         for tree in trees:
             d = tree.segment_distance(p, q, upper_bound=best + radius)
             best = min(best, d - radius)
@@ -392,24 +366,24 @@ def check_collision(body: RobotBody, dh: DHTable, joints, env, trees=None) -> Co
 DEFAULT_PATH_STEP = 0.01  # rad per joint
 
 
-def path_feasible(body, dh, j_start, j_end, env, step=DEFAULT_PATH_STEP, trees=None) -> bool:
+def path_feasible(dh, j_start, j_end, env, step=DEFAULT_PATH_STEP, trees=None) -> bool:
     """Joint-space straight-line path check at max per-joint step `step`."""
     j_start = np.asarray(j_start, dtype=float)
     j_end = np.asarray(j_end, dtype=float)
     if trees is None:
         trees = build_trees(env)
     for j in (j_start, j_end):
-        if not check_collision(body, dh, j, env, trees).clear:
+        if not check_collision(dh, j, env, trees).clear:
             raise EndpointInCollision("path endpoint is in collision")
     n = int(np.ceil(np.max(np.abs(j_end - j_start)) / step)) if step > 0 else 1
     for k in range(1, n):
         j = j_start + (j_end - j_start) * (k / n)
-        if not check_collision(body, dh, j, env, trees).clear:
+        if not check_collision(dh, j, env, trees).clear:
             return False
     return True
 
 
-def pose_feasibility(pose, dh, body, env, seed, trees=None, rng=None,
+def pose_feasibility(pose, dh, env, seed, trees=None, rng=None,
                      restarts=10, branch_attempts=6):
     """IK then collision check for a single pose.
 
@@ -428,7 +402,7 @@ def pose_feasibility(pose, dh, body, env, seed, trees=None, rng=None,
             q = inverse_kinematics(dh, pose, seed=current_seed, rng=rng, restarts=restarts)
         except NoSolution:
             break
-        if check_collision(body, dh, q, env, trees).clear:
+        if check_collision(dh, q, env, trees).clear:
             return PoseFeasibility(pose, FeasibilityStatus.REACHABLE, q)
         colliding = q
         current_seed = rng.uniform(dh.q_min, dh.q_max)
@@ -437,7 +411,7 @@ def pose_feasibility(pose, dh, body, env, seed, trees=None, rng=None,
     return PoseFeasibility(pose, FeasibilityStatus.IK_FAILURE, None)
 
 
-def partition_pose_dictionary(poses, dh, body, env, seed=None) -> list[PoseFeasibility]:
+def partition_pose_dictionary(poses, dh, env, seed=None) -> list[PoseFeasibility]:
     """Classify each pose as Reachable / IkFailure / Collision, in input order.
 
     The IK seed for each pose is the previous successful solution, mirroring
@@ -450,7 +424,7 @@ def partition_pose_dictionary(poses, dh, body, env, seed=None) -> list[PoseFeasi
     current_seed = np.asarray(seed, dtype=float)
     for pose in poses:
         rng = np.random.default_rng(12345)  # fixed stream: determinism per item
-        result = pose_feasibility(pose, dh, body, env, current_seed, trees, rng)
+        result = pose_feasibility(pose, dh, env, current_seed, trees, rng)
         if result.joints is not None:
             current_seed = result.joints
         out.append(result)

@@ -9,6 +9,10 @@ class ConfigError(FieldArmError):
     """Configuration file missing, unparseable, or failing validation."""
 
 
+class UsageError(FieldArmError):
+    """A command-line value outside its valid range."""
+
+
 class JointLimitViolation(FieldArmError):
     """A joint configuration lies outside the configured limits."""
 

@@ -35,6 +35,11 @@ class Pose:
     def position(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
 
+    @property
+    def axis(self) -> np.ndarray:
+        """Local x-axis in the world frame (a magnet pose's magnetisation axis)."""
+        return unit_normal(self.alpha_y, self.alpha_z)
+
     def rotation(self) -> np.ndarray:
         return euler_to_matrix(self.alpha_x, self.alpha_y, self.alpha_z)
 
@@ -83,6 +88,8 @@ class DHTable:
             r = np.asarray(self.link_radii, dtype=float)
             if r.shape != (N_JOINTS + 1,):
                 raise ValueError("link_radii must have 7 entries (6 links + tool)")
+            if not np.all(r > 0):
+                raise ValueError("capsule radii must be > 0")
             object.__setattr__(self, "link_radii", r)
 
     def check_limits(self, q: np.ndarray):

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ObserverInsideMaterial, ZeroDistance
-from .kinematics import Pose
 
 MU0 = 4.0e-7 * math.pi  # vacuum permeability, T m / A
 
@@ -88,27 +87,30 @@ def cel(kc, p, c, s, tol=1e-12):
     g = em.copy()
     em = k + em
     kk = k.copy()
-    while np.any(np.abs(g - k) > g * tol):
-        k = 2.0 * np.sqrt(kk)
-        kk = k * em
-        f = cc.copy()
-        cc = cc + ss / pp
-        g = kk / pp
-        ss = 2.0 * (ss + f * g)
-        pp = g + pp
-        g = em.copy()
-        em = k + em
+    # each element stops at its own convergence, so a batch gives the same
+    # values as element-by-element calls
+    run = np.abs(g - k) > g * tol
+    while np.any(run):
+        k[run] = 2.0 * np.sqrt(kk[run])
+        kk[run] = k[run] * em[run]
+        f = cc[run]
+        cc[run] = f + ss[run] / pp[run]
+        gr = kk[run] / pp[run]
+        ss[run] = 2.0 * (ss[run] + f * gr)
+        pp[run] = gr + pp[run]
+        g[run] = em[run]
+        em[run] = k[run] + em[run]
+        run = np.abs(g - k) > g * tol
     return (math.pi / 2.0) * (ss + cc * em) / (em * (em + pp))
 
 
 def _solid_cylinder_field_axial_frame(radius, half_length, M, rho, z):
     """(B_rho, B_z) of a solid axially magnetised cylinder, axis along z.
 
-    Closed-form solution in terms of generalised complete elliptic
-    integrals; valid everywhere off the material surface.
+    `rho` and `z` are equal-length 1-D arrays. Closed-form solution in terms
+    of generalised complete elliptic integrals; valid everywhere off the
+    material surface.
     """
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    z = np.broadcast_to(np.asarray(z, dtype=float), rho.shape)
     a = radius
     b = half_length
     B0 = MU0 * M / math.pi
@@ -132,30 +134,34 @@ def _solid_cylinder_field_axial_frame(radius, half_length, M, rho, z):
     return B_rho, B_z
 
 
-def _inside_material(spec: MagnetSpec, rho: float, z_ax: float) -> bool:
-    return (
-        abs(z_ax) <= spec.length / 2.0 + _BOUNDARY_TOL
-        and spec.inner_radius - _BOUNDARY_TOL <= rho <= spec.outer_radius + _BOUNDARY_TOL
-    )
+def cylinder_field(spec: MagnetSpec, centre, axis, observer) -> np.ndarray:
+    """World-frame field of the (hollow) cylinder at observer points.
 
-
-def cylinder_field(spec: MagnetSpec, magnet_pose: Pose, observer) -> np.ndarray:
-    """World-frame field of the (hollow) cylinder at the observer point.
-
-    The magnetisation axis is the magnet pose's local x-axis. The hollow
-    cylinder is the superposition of the outer solid cylinder and an inner
+    Broadcasts over the leading axes of the (..., 3) magnet `centre`, unit
+    magnetisation `axis` and `observer` arrays; a single point is a batch of
+    one. By axial symmetry B = b_ax n + b_rho rho_hat, with the hollow
+    cylinder the superposition of the outer solid cylinder and an inner
     solid cylinder of opposite magnetisation. Points in the bore are valid;
-    points in the material raise ObserverInsideMaterial.
+    a point in the material raises ObserverInsideMaterial.
     """
-    observer = np.asarray(observer, dtype=float)
-    R = magnet_pose.rotation()
-    r_local = R.T @ (observer - magnet_pose.position)
-    z_ax = r_local[0]                      # axial coordinate, along local x
-    trans = r_local[1:]                    # transverse components (local y, z)
-    rho = float(np.hypot(trans[0], trans[1]))
-    if _inside_material(spec, rho, z_ax):
+    centre, axis, observer = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (centre, axis, observer))
+    )
+    shape = observer.shape
+    n = axis.reshape(-1, 3)
+    r = (observer - centre).reshape(-1, 3)
+    z_ax = np.einsum("ij,ij->i", r, n)     # axial coordinate
+    trans = r - z_ax[:, None] * n          # transverse offset from the axis
+    rho = np.linalg.norm(trans, axis=1)
+    inside = (
+        (np.abs(z_ax) <= spec.length / 2.0 + _BOUNDARY_TOL)
+        & (rho >= spec.inner_radius - _BOUNDARY_TOL)
+        & (rho <= spec.outer_radius + _BOUNDARY_TOL)
+    )
+    if np.any(inside):
+        i = int(np.argmax(inside))
         raise ObserverInsideMaterial(
-            f"observer at rho={rho:.6g} m, z={z_ax:.6g} m lies in the magnet material"
+            f"observer at rho={rho[i]:.6g} m, z={z_ax[i]:.6g} m lies in the magnet material"
         )
     b_rho, b_ax = _solid_cylinder_field_axial_frame(
         spec.outer_radius, spec.length / 2.0, spec.magnetisation, rho, z_ax
@@ -166,11 +172,8 @@ def cylinder_field(spec: MagnetSpec, magnet_pose: Pose, observer) -> np.ndarray:
         )
         b_rho = b_rho - br_i
         b_ax = b_ax - bz_i
-    b_rho = float(b_rho[0])
-    b_ax = float(b_ax[0])
-    rho_hat = trans / rho if rho > 0.0 else np.zeros(2)
-    B_local = np.array([b_ax, b_rho * rho_hat[0], b_rho * rho_hat[1]])
-    return R @ B_local
+    rho_hat = np.divide(trans, rho[:, None], out=np.zeros_like(trans), where=rho[:, None] > 0.0)
+    return (b_ax[:, None] * n + b_rho[:, None] * rho_hat).reshape(shape)
 
 
 def equivalent_dipole(spec: MagnetSpec) -> float:

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit, least_squares
 
 from .errors import (
     ComplexRoots,
@@ -174,6 +173,8 @@ def resonances_from_cubic(D, Pi, beta, gamma_angle):
 def polar_angle_from_resonances(f_minus, f_plus, D, Pi, gamma_e=GAMMA_E_DEFAULT,
                                 B_max=0.05, tol=1e3):
     """Invert the resonance model for (|B|, theta); round-trip within `tol` Hz."""
+    from scipy.optimize import least_squares
+
     if f_plus < f_minus:
         raise ValueError("f_plus must be >= f_minus")
 
@@ -233,6 +234,8 @@ def fit_orientation(trajectory, D, Pi, gamma_e=GAMMA_E_DEFAULT,
     nu_n in Hz. Multi-start over an angle grid guards against local minima.
     The +-axis degeneracy is resolved by reporting angles in [0, pi).
     """
+    from scipy.optimize import least_squares
+
     traj = np.asarray(trajectory, dtype=float).reshape(-1, 3)
     if len(traj) < 4:
         raise InsufficientData(f"need >= 4 trajectory points, got {len(traj)}")
@@ -248,34 +251,29 @@ def fit_orientation(trajectory, D, Pi, gamma_e=GAMMA_E_DEFAULT,
     def residual(params):
         return model(params) - nu
 
-    def match_B(ay, az, B_hi=0.05):
-        # mean splitting is monotone in |B| at fixed angles: bisect
-        gam = field_polar_angle(ay_B, az_B, ay, az)
-        target = np.mean(nu)
-        lo, hi = 0.0, B_hi
-        for _ in range(50):
-            mid = (lo + hi) / 2.0
-            if np.mean(splitting_from_cubic(D, Pi, gamma_e * mid, gam)) < target:
-                lo = mid
-            else:
-                hi = mid
-        return (lo + hi) / 2.0
-
+    # grid starts (ay outer, az inner), one row each; the mean splitting is
+    # monotone in |B| at fixed angles, so every start's |B| is bisected at once
     angles = np.linspace(0.0, np.pi, grid_size, endpoint=False)
-    costs = []
-    for ay in angles:
-        for az in angles:
-            B_start = match_B(ay, az)
-            r = residual([ay, az, B_start])
-            costs.append((float(r @ r), ay, az, B_start))
-    costs.sort(key=lambda t: t[0])
+    ay0, az0 = (g.ravel() for g in np.meshgrid(angles, angles, indexing="ij"))
+    gam = field_polar_angle(ay_B, az_B, ay0[:, None], az0[:, None])
+    target = np.mean(nu)
+    lo = np.zeros(len(ay0))
+    hi = np.full(len(ay0), 0.05)
+    for _ in range(50):
+        mid = (lo + hi) / 2.0
+        below = np.mean(splitting_from_cubic(D, Pi, gamma_e * mid[:, None], gam), axis=1) < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    B0 = (lo + hi) / 2.0
+    r = residual((ay0[:, None], az0[:, None], B0[:, None]))
+    order = np.argsort(np.einsum("ij,ij->i", r, r), kind="stable")
 
     best = None
-    for _, ay, az, B_start in costs[:refine_starts]:
+    for k in order[:refine_starts]:
         try:
-            sol = least_squares(residual, [ay, az, B_start],
+            sol = least_squares(residual, [ay0[k], az0[k], B0[k]],
                                 xtol=1e-14, ftol=1e-14, gtol=1e-14)
-        except Exception:
+        except (ComplexRoots, ValueError):  # cubic out of range, or a non-finite start
             continue
         if best is None or sol.cost < best.cost:
             best = sol
@@ -354,6 +352,8 @@ def _two_deepest_minima(f, c, min_separation=None):
 
 def fit_resonances(spectrum: OdmrSpectrum) -> ResonancePair:
     """Double-Lorentzian dip fit; falls back to one dip when they merge."""
+    from scipy.optimize import curve_fit
+
     f = spectrum.frequencies
     c = spectrum.contrast
     span = f.max() - f.min()

@@ -1,9 +1,10 @@
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
-from fieldarm.environment import RobotBody, TriangleMesh
+from fieldarm.environment import TriangleMesh
 from fieldarm.kinematics import default_dh_table
 from fieldarm.magnetostatics import default_magnet_spec
 
@@ -24,8 +25,9 @@ def spec():
 
 
 @pytest.fixture(scope="session")
-def body():
-    return RobotBody(np.array([0.05, 0.05, 0.04, 0.04, 0.03, 0.03, 0.02]))
+def arm(dh):
+    """The default table with tapered capsule radii, as in configs/walled.yaml."""
+    return dataclasses.replace(dh, link_radii=[0.05, 0.05, 0.04, 0.04, 0.03, 0.03, 0.02])
 
 
 @pytest.fixture(scope="session")

@@ -122,7 +122,7 @@ def test_criterion_04_cylinder_field_oracle():
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
         obs = pose.position + rng.uniform(0.055, 0.35) * direction
-        B = cylinder_field(spec, pose, obs)
+        B = cylinder_field(spec, pose.position, pose.axis, obs)
         B_ref = surface_charge_field(spec, pose, obs)
         worst_near = max(worst_near, float(
             np.linalg.norm(B - B_ref) / np.linalg.norm(B_ref)
@@ -133,7 +133,7 @@ def test_criterion_04_cylinder_field_oracle():
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
         r = rng.uniform(10.01, 30.0) * 2.0 * spec.outer_radius * direction
-        B = cylinder_field(spec, pose, pose.position + r)
+        B = cylinder_field(spec, pose.position, pose.axis, pose.position + r)
         B_dip = dipole_field(m, r)
         worst_far = max(worst_far, float(np.linalg.norm(B - B_dip) / np.linalg.norm(B)))
     report(4, worst_near < 1e-4 and worst_far < 0.01,
@@ -147,14 +147,13 @@ def test_criterion_05_replacement_algorithm(walled_config_path):
     ay = np.deg2rad(np.linspace(30.0, 85.0, 6))
     az = np.deg2rad(np.linspace(5.0, 85.0, 6))
     points = sphere_segment_scan(cfg.sample, ay, az, STANDOFF, cfg.magnet)
-    parts = partition_pose_dictionary([p.pose for p in points], cfg.dh, cfg.body,
-                                      cfg.environment)
+    parts = partition_pose_dictionary([p.pose for p in points], cfg.dh, cfg.environment)
     forbidden = [p.pose for p in parts if p.status is FeasibilityStatus.COLLISION]
     replaced = 0
     for pose in forbidden:
         try:
             plan = replace_forbidden_pose(pose, cfg.sample, cfg.magnet, cfg.environment,
-                                          cfg.dh, cfg.body, displacement_axis="y")
+                                          cfg.dh, displacement_axis="y")
         except FieldArmError:
             continue
         if plan.similarity >= 0.95:
@@ -166,15 +165,15 @@ def test_criterion_05_replacement_algorithm(walled_config_path):
     forbidden_pose = magnet_pose_for_field_direction(
         cfg.sample, np.deg2rad(40.0), np.deg2rad(20.0), STANDOFF
     )
-    target = cylinder_field(cfg.magnet, forbidden_pose, cfg.sample)
+    target = cylinder_field(cfg.magnet, forbidden_pose.position, forbidden_pose.axis, cfg.sample)
     t_hat = target / np.linalg.norm(target)
     displaced = forbidden_pose.position + np.array([0.0, 0.0, 0.12])
     ay_star, az_star = angles_for_direction(inverse_dipole(target, cfg.sample - displaced))
     deltas = np.deg2rad(np.arange(-40.0, 40.0001, 0.05))
     transverse = []
     for d in deltas:
-        B = cylinder_field(cfg.magnet, Pose(*displaced, 0.0, ay_star + d, az_star),
-                           cfg.sample)
+        pose = Pose(*displaced, 0.0, ay_star + d, az_star)
+        B = cylinder_field(cfg.magnet, pose.position, pose.axis, cfg.sample)
         transverse.append(np.linalg.norm(B - (B @ t_hat) * t_hat))
     offset_deg = abs(math.degrees(deltas[int(np.argmin(transverse))]))
     elapsed = time.time() - t0
@@ -212,7 +211,7 @@ def test_criterion_07_calibration_recovery():
             a = rng.uniform(np.deg2rad(20), np.deg2rad(80))
             z = rng.uniform(np.deg2rad(5), np.deg2rad(85))
             pose = magnet_pose_for_field_direction(SAMPLE, a + d_ay, z + dz, standoff)
-            B = cylinder_field(spec, pose, SAMPLE) + rng.normal(0.0, 0.1e-3, 3)
+            B = cylinder_field(spec, pose.position, pose.axis, SAMPLE) + rng.normal(0.0, 0.1e-3, 3)
             rows.append((a, z, mass, B))
     result = calibrate_offsets(rows, spec, SAMPLE, standoff)
     err_ay = abs(np.rad2deg(result.delta_alpha_y) - 15.0)
@@ -304,7 +303,7 @@ def test_criterion_11_cli_determinism(tmp_path, walled_config_path):
             a, z = rng.uniform(20, 80), rng.uniform(5, 85)
             pose = magnet_pose_for_field_direction(SAMPLE, np.deg2rad(a), np.deg2rad(z),
                                                    STANDOFF)
-            B = cylinder_field(spec, pose, SAMPLE) * 1e3
+            B = cylinder_field(spec, pose.position, pose.axis, SAMPLE) * 1e3
             w.writerow([a, z, 0, B[0], B[1], B[2]])
     traj_csv = tmp_path / "traj.csv"
     nv_axis = (np.deg2rad(97.6), np.deg2rad(64.1))

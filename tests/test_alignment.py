@@ -111,7 +111,7 @@ def _synthetic_calibration_rows(spec, d_ay, d_az_per_mass, noise, rng, n_per_mas
         az = rng.uniform(np.deg2rad(5), np.deg2rad(85), n_per_mass)
         for a, z in zip(ay, az):
             pose = magnet_pose_for_field_direction(SAMPLE, a + d_ay, z + d_az, STANDOFF)
-            B = cylinder_field(spec, pose, SAMPLE)
+            B = cylinder_field(spec, pose.position, pose.axis, SAMPLE)
             if noise > 0:
                 B = B + rng.normal(0.0, noise, 3)
             rows.append((a, z, mass, B))
@@ -148,7 +148,7 @@ def test_amplitude_schedule_exact_grid_distance(spec):
     direction = unit_normal(0.0, 0.0)
     r = 0.2  # already a multiple of the 0.5 mm resolution
     pose = magnet_pose_for_field_direction(SAMPLE, 0.0, 0.0, r)
-    target = float(np.linalg.norm(cylinder_field(spec, pose, SAMPLE)))
+    target = float(np.linalg.norm(cylinder_field(spec, pose.position, pose.axis, SAMPLE)))
     sched = amplitude_schedule([target], spec, direction, SAMPLE)
     assert math.isclose(sched.distances[0], r, abs_tol=1e-12)
     assert abs(sched.errors[0]) < 1e-9
@@ -164,6 +164,17 @@ def test_amplitude_schedule_ramp_properties(spec):
     assert np.max(np.abs(sched.errors)) < 0.1e-3
 
 
+def test_amplitude_schedule_bound_is_worst_case(spec):
+    # |B|(r) is convex, so the snap error on the near side of the window
+    # exceeds the central-difference estimate; the bound must cover it
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        targets = np.linspace(rng.uniform(0.5e-3, 1e-3), rng.uniform(9e-3, 10e-3), 20)
+        direction = unit_normal(rng.uniform(0.0, np.pi / 3), rng.uniform(0.0, np.pi / 2))
+        sched = amplitude_schedule(targets, spec, direction, SAMPLE)
+        assert np.all(np.abs(sched.errors) <= sched.error_bounds + 1e-15)
+
+
 def test_amplitude_schedule_unreachable_target(spec):
     direction = unit_normal(0.0, 0.0)
     with pytest.raises(TargetUnreachable):
@@ -174,20 +185,20 @@ def test_amplitude_schedule_unreachable_target(spec):
         amplitude_schedule([1e-3], spec, direction, SAMPLE, resolution=0.0)
 
 
-def test_replace_identity_in_empty_environment(spec, dh, body):
+def test_replace_identity_in_empty_environment(spec, arm):
     forbidden = magnet_pose_for_field_direction(SAMPLE, 0.3, 0.4, STANDOFF)
-    plan = replace_forbidden_pose(forbidden, SAMPLE, spec, [], dh, body,
+    plan = replace_forbidden_pose(forbidden, SAMPLE, spec, [], arm,
                                   displacement_axis="y")
     assert plan.identity
     assert plan.similarity == 1.0
     assert plan.displaced_pose == forbidden and plan.final_pose == forbidden
 
 
-def test_replace_walled_pose(spec, dh, body, wall):
+def test_replace_walled_pose(spec, arm, wall):
     forbidden = magnet_pose_for_field_direction(
         SAMPLE, np.deg2rad(30.0), np.deg2rad(53.0), STANDOFF
     )
-    plan = replace_forbidden_pose(forbidden, SAMPLE, spec, [wall], dh, body,
+    plan = replace_forbidden_pose(forbidden, SAMPLE, spec, [wall], arm,
                                   displacement_axis="y")
     assert not plan.identity
     assert plan.similarity >= 0.95
@@ -200,15 +211,15 @@ def test_replace_walled_pose(spec, dh, body, wall):
     assert plan.rotated_pose.position == pytest.approx(list(plan.displaced_pose.position))
 
 
-def test_replace_search_exhaustion(spec, dh, body, wall):
+def test_replace_search_exhaustion(spec, arm, wall):
     forbidden = magnet_pose_for_field_direction(
         SAMPLE, np.deg2rad(30.0), np.deg2rad(53.0), STANDOFF
     )
     with pytest.raises((NoReachableDisplacement, FinalPoseForbidden)):
-        replace_forbidden_pose(forbidden, SAMPLE, spec, [wall], dh, body,
+        replace_forbidden_pose(forbidden, SAMPLE, spec, [wall], arm,
                                displacement_axis="y", search_step=1e-4, max_steps=1)
     with pytest.raises(ValueError):
-        replace_forbidden_pose(forbidden, SAMPLE, spec, [wall], dh, body,
+        replace_forbidden_pose(forbidden, SAMPLE, spec, [wall], arm,
                                displacement_axis="x")
 
 
@@ -216,7 +227,7 @@ def test_transverse_minimum_at_inverse_dipole_angle(spec):
     forbidden = magnet_pose_for_field_direction(
         SAMPLE, np.deg2rad(40.0), np.deg2rad(20.0), STANDOFF
     )
-    target = cylinder_field(spec, forbidden, SAMPLE)
+    target = cylinder_field(spec, forbidden.position, forbidden.axis, SAMPLE)
     t_hat = target / np.linalg.norm(target)
     displaced = forbidden.position + np.array([0.0, 0.0, 0.12])
     moment = inverse_dipole(target, SAMPLE - displaced)
@@ -226,7 +237,7 @@ def test_transverse_minimum_at_inverse_dipole_angle(spec):
     transverse = []
     for d in deltas:
         pose = Pose(*displaced, 0.0, ay_star + d, az_star)
-        B = cylinder_field(spec, pose, SAMPLE)
+        B = cylinder_field(spec, pose.position, pose.axis, SAMPLE)
         transverse.append(np.linalg.norm(B - (B @ t_hat) * t_hat))
     d_min = deltas[int(np.argmin(transverse))]
     assert abs(np.rad2deg(d_min)) < 1.0

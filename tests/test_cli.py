@@ -100,7 +100,7 @@ def test_calibrate_round_trip(tmp_path):
             pose = magnet_pose_for_field_direction(
                 SAMPLE, np.deg2rad(ay), np.deg2rad(az), STANDOFF
             )
-            B = cylinder_field(spec, pose, SAMPLE) * 1e3
+            B = cylinder_field(spec, pose.position, pose.axis, SAMPLE) * 1e3
             rows.append((ay, az, mass, B[0], B[1], B[2]))
     path = tmp_path / "cal.csv"
     with open(path, "w", newline="") as fh:
@@ -225,6 +225,37 @@ def test_bad_config_path_exit_2(tmp_path):
     assert main(["--config", str(tmp_path / "nope.yaml"), "scan",
                  "--ay-start", "0", "--ay-stop", "0", "--ay-steps", "1",
                  "--az-start", "0", "--az-stop", "0", "--az-steps", "1"]) == 2
+
+
+def _scan_args(ay_steps="2", standoff="0.16"):
+    return ["scan", "--ay-start", "0", "--ay-stop", "10", "--ay-steps", ay_steps,
+            "--az-start", "0", "--az-stop", "10", "--az-steps", "2", "--standoff-m", standoff]
+
+
+SCHEDULE = ["schedule", "--b-start", "0.5", "--b-stop", "10", "--steps", "3"]
+
+
+@pytest.mark.parametrize("argv", [
+    _scan_args(ay_steps="0"),
+    SCHEDULE[:-1] + ["0"],
+    ["odmr", "--points", "0"],
+    SCHEDULE + ["--resolution-m", "0"],
+    ["odmr", "--linewidth-MHz", "0"],
+    _scan_args(standoff="nan"),
+    SCHEDULE + ["--ay", "nan"],
+    SCHEDULE[:4] + ["inf"] + SCHEDULE[5:],
+    ["odmr", "--bz", "nan"],
+    _scan_args(standoff="0.01"),
+    ["replace", "--ay", "20", "--az", "30", "--standoff-m", "0.01"],
+], ids=["scan-steps-0", "schedule-steps-0", "odmr-points-0", "schedule-resolution-0",
+        "odmr-linewidth-0", "scan-standoff-nan", "schedule-ay-nan", "schedule-b-stop-inf",
+        "odmr-bz-nan", "scan-standoff-in-magnet", "replace-standoff-in-magnet"])
+def test_out_of_range_argument_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "artefact"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
 
 
 def test_unknown_units_exit_2():

@@ -65,6 +65,10 @@ def test_joint_errors_name_row_and_field():
     with pytest.raises(ConfigError, match=r"joints\[2\].a_m"):
         config_from_dict({"dh": {"joints": joints}})
 
+    joints[2]["a_m"] = 0
+    with pytest.raises(ConfigError, match="radii must be > 0"):
+        config_from_dict({"dh": {"joints": joints, "link_radii_m": [0.04] * 6 + [0.0]}})
+
 
 def test_magnet_schema_errors():
     with pytest.raises(ConfigError, match="outer_radius_m"):

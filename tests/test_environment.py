@@ -1,10 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fieldarm.environment import (
     AabbTree,
     FeasibilityStatus,
-    RobotBody,
     TriangleMesh,
     build_trees,
     check_collision,
@@ -136,16 +137,14 @@ def test_check_collision_floor_distance(dh):
         [[-5, -5, -0.2], [5, -5, -0.2], [5, 5, -0.2], [-5, 5, -0.2]],
         [[0, 1, 2], [0, 2, 3]], "floor",
     )
-    body = RobotBody.from_dh(dh)  # uniform 0.04 m capsules
-    result = check_collision(body, dh, np.zeros(6), [floor])
+    result = check_collision(dh, np.zeros(6), [floor])
     assert result.clear
     # the base frame origin sits at z = 0, 0.2 m above the floor plane
     assert np.isclose(result.min_distance, 0.2 - 0.04, atol=1e-9)
 
 
 def test_check_collision_empty_environment(dh):
-    body = RobotBody.from_dh(dh)
-    result = check_collision(body, dh, np.zeros(6), [])
+    result = check_collision(dh, np.zeros(6), [])
     assert result.clear and result.min_distance is None
 
 
@@ -154,8 +153,7 @@ def test_check_collision_detects_hit(dh):
         [[-5, -5, 0.1], [5, -5, 0.1], [5, 5, 0.1], [-5, 5, 0.1]],
         [[0, 1, 2], [0, 2, 3]], "cutting-plane",
     )
-    body = RobotBody.from_dh(dh)
-    result = check_collision(body, dh, np.zeros(6), [plane])
+    result = check_collision(dh, np.zeros(6), [plane])
     assert not result.clear
     assert result.min_distance == 0.0
 
@@ -168,14 +166,13 @@ def test_collision_monotone_under_shrinking_radii(dh):
     rng = np.random.default_rng(9)
     for _ in range(20):
         q = rng.uniform(dh.q_min * 0.6, dh.q_max * 0.6)
-        fat = RobotBody(np.full(7, 0.05))
-        thin = RobotBody(np.full(7, 0.03))
-        if check_collision(fat, dh, q, [plane]).clear:
-            assert check_collision(thin, dh, q, [plane]).clear
+        fat = dataclasses.replace(dh, link_radii=np.full(7, 0.05))
+        thin = dataclasses.replace(dh, link_radii=np.full(7, 0.03))
+        if check_collision(fat, q, [plane]).clear:
+            assert check_collision(thin, q, [plane]).clear
 
 
 def test_path_feasible_detects_mid_path_obstacle(dh):
-    body = RobotBody.from_dh(dh)
     j_start = np.zeros(6)
     j_end = np.array([1.2, 0.0, 0.0, 0.0, 0.0, 0.0])
     j_mid = (j_start + j_end) / 2.0
@@ -188,62 +185,63 @@ def test_path_feasible_detects_mid_path_obstacle(dh):
     cube_t = [[0, 2, 1], [0, 3, 2], [4, 5, 6], [4, 6, 7], [0, 1, 5], [0, 5, 4],
               [2, 3, 7], [2, 7, 6], [1, 2, 6], [1, 6, 5], [3, 0, 4], [3, 4, 7]]
     cube = TriangleMesh(cube_v, cube_t, "blocker")
-    assert not path_feasible(body, dh, j_start, j_end, [cube])
-    assert path_feasible(body, dh, j_start, j_end, [])
+    assert not path_feasible(dh, j_start, j_end, [cube])
+    assert path_feasible(dh, j_start, j_end, [])
 
 
 def test_path_feasible_rejects_colliding_endpoint(dh):
-    body = RobotBody.from_dh(dh)
     plane = TriangleMesh(
         [[-5, -5, 0.1], [5, -5, 0.1], [5, 5, 0.1], [-5, 5, 0.1]],
         [[0, 1, 2], [0, 2, 3]], "cutting-plane",
     )
     with pytest.raises(EndpointInCollision):
-        path_feasible(body, dh, np.zeros(6), np.zeros(6), [plane])
+        path_feasible(dh, np.zeros(6), np.zeros(6), [plane])
 
 
-def test_pose_feasibility_statuses(dh, body, wall):
-    reachable = forward_kinematics(dh, np.array([0.3, 0.4, -0.2, 0.1, 0.5, 0.0]))
-    res = pose_feasibility(reachable, dh, body, [], dh.home())
+def test_pose_feasibility_statuses(arm, wall):
+    reachable = forward_kinematics(arm, np.array([0.3, 0.4, -0.2, 0.1, 0.5, 0.0]))
+    res = pose_feasibility(reachable, arm, [], arm.home())
     assert res.status is FeasibilityStatus.REACHABLE
     assert res.joints is not None
 
-    res = pose_feasibility(Pose(0.5, 0.5, 0.5), dh, body, [], dh.home())
+    res = pose_feasibility(Pose(0.5, 0.5, 0.5), arm, [], arm.home())
     assert res.status in (FeasibilityStatus.REACHABLE, FeasibilityStatus.IK_FAILURE)
 
     behind_wall = Pose(0.2, -0.15, 0.3)
-    res = pose_feasibility(behind_wall, dh, body, [wall], dh.home())
+    res = pose_feasibility(behind_wall, arm, [wall], arm.home())
     assert res.status in (FeasibilityStatus.COLLISION, FeasibilityStatus.IK_FAILURE)
 
 
-def test_tool_capsule_follows_pose(dh, body):
+def test_tool_capsule_follows_pose(arm):
     pose = Pose(0.3, 0.1, 0.25, 0.0, 0.4, 0.9)
-    base, tip, radius = tool_capsule_for_pose(dh, body, pose)
+    base, tip, radius = tool_capsule_for_pose(arm, pose)
     assert np.allclose(tip, pose.position)
     axis = pose.rotation() @ np.array([1.0, 0.0, 0.0])
-    assert np.allclose(base, pose.position - dh.tool_offset * axis)
-    assert radius == body.radii[-1]
+    assert np.allclose(base, pose.position - arm.tool_offset * axis)
+    assert radius == arm.link_radii[-1]
 
 
-def test_partition_deterministic(dh, body, wall):
+def test_partition_deterministic(arm, wall):
     poses = [Pose(0.2, y, 0.3, 0.0, 0.5, 0.2) for y in np.linspace(-0.12, 0.12, 6)]
-    first = partition_pose_dictionary(poses, dh, body, [wall])
-    second = partition_pose_dictionary(poses, dh, body, [wall])
+    first = partition_pose_dictionary(poses, arm, [wall])
+    second = partition_pose_dictionary(poses, arm, [wall])
     assert [r.status for r in first] == [r.status for r in second]
     for a, b in zip(first, second):
         if a.joints is not None:
             assert np.allclose(a.joints, b.joints)
 
 
-def test_partition_mixed_statuses(dh, body, wall):
+def test_partition_mixed_statuses(arm, wall):
     poses = [Pose(0.2, 0.1, 0.3, 0.0, 0.5, 0.2), Pose(0.2, -0.15, 0.3, 0.0, 0.5, 0.2)]
-    results = partition_pose_dictionary(poses, dh, body, [wall])
+    results = partition_pose_dictionary(poses, arm, [wall])
     assert results[0].status is FeasibilityStatus.REACHABLE
     assert results[1].status is not FeasibilityStatus.REACHABLE
 
 
-def test_robot_body_validation():
+
+def test_robot_body_validation(dh):
+    # the collision body is the DH table's per-link capsule radii
     with pytest.raises(ValueError):
-        RobotBody(np.full(6, 0.04))
+        dataclasses.replace(dh, link_radii=np.full(6, 0.04))
     with pytest.raises(ValueError):
-        RobotBody(np.array([0.04, 0.04, 0.04, 0.04, 0.04, 0.04, -0.01]))
+        dataclasses.replace(dh, link_radii=np.array([0.04, 0.04, 0.04, 0.04, 0.04, 0.04, -0.01]))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import ellipe, ellipk
 
@@ -72,7 +72,7 @@ def test_on_axis_field_matches_textbook_formula():
     b = spec.length / 2.0
     a = spec.outer_radius
     for z in (0.05, 0.08, 0.15):
-        B = cylinder_field(spec, pose, [z, 0.0, 0.0])
+        B = cylinder_field(spec, pose.position, pose.axis, [z, 0.0, 0.0])
         expected = (MU0 * spec.magnetisation / 2.0) * (
             (z + b) / math.hypot(z + b, a) - (z - b) / math.hypot(z - b, a)
         )
@@ -88,7 +88,7 @@ def test_cylinder_field_matches_surface_charge_oracle():
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
         obs = pose.position + rng.uniform(0.06, 0.3) * direction
-        B = cylinder_field(spec, pose, obs)
+        B = cylinder_field(spec, pose.position, pose.axis, obs)
         B_ref = surface_charge_field(spec, pose, obs)
         assert np.linalg.norm(B - B_ref) < 1e-4 * np.linalg.norm(B_ref)
 
@@ -102,7 +102,7 @@ def test_far_field_approaches_equivalent_dipole():
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
         r = rng.uniform(10, 25) * 2.0 * spec.outer_radius * direction
-        B_cyl = cylinder_field(spec, pose, r)
+        B_cyl = cylinder_field(spec, pose.position, pose.axis, r)
         B_dip = dipole_field(m, r)
         assert np.linalg.norm(B_cyl - B_dip) < 0.01 * np.linalg.norm(B_cyl)
 
@@ -113,30 +113,31 @@ def test_hollow_cylinder_is_outer_minus_inner():
     hollow = MagnetSpec(0.015, 0.002, 0.06, 1.0e6)
     pose = Pose(0.01, 0.02, -0.01, 0.0, 0.5, 0.9)
     obs = np.array([0.1, -0.05, 0.07])
-    B = cylinder_field(hollow, pose, obs)
-    B_super = cylinder_field(solid_outer, pose, obs) - cylinder_field(solid_inner, pose, obs)
+    B = cylinder_field(hollow, pose.position, pose.axis, obs)
+    B_super = (cylinder_field(solid_outer, pose.position, pose.axis, obs)
+               - cylinder_field(solid_inner, pose.position, pose.axis, obs))
     assert np.allclose(B, B_super, atol=1e-15)
 
 
 def test_bore_point_is_valid_but_material_raises():
     spec = default_magnet_spec()
     pose = Pose(0, 0, 0)
-    B = cylinder_field(spec, pose, [0.0, 0.0005, 0.0])  # inside the bore
+    B = cylinder_field(spec, pose.position, pose.axis, [0.0, 0.0005, 0.0])  # inside the bore
     assert np.all(np.isfinite(B))
     with pytest.raises(ObserverInsideMaterial):
-        cylinder_field(spec, pose, [0.0, 0.01, 0.0])
+        cylinder_field(spec, pose.position, pose.axis, [0.0, 0.01, 0.0])
 
 
 def test_rigid_rotation_consistency():
     spec = default_magnet_spec()
     pose = Pose(0, 0, 0, 0.0, 0.3, 0.8)
     obs = np.array([0.12, 0.04, -0.06])
-    B = cylinder_field(spec, pose, obs)
+    B = cylinder_field(spec, pose.position, pose.axis, obs)
     rot = Pose(0, 0, 0, 0.4, -0.2, 1.3).rotation()
     pose_r = Pose.from_matrix(
         np.block([[rot @ pose.rotation(), np.zeros((3, 1))], [np.zeros((1, 3)), np.ones((1, 1))]])
     )
-    B_r = cylinder_field(spec, pose_r, rot @ obs)
+    B_r = cylinder_field(spec, pose_r.position, pose_r.axis, rot @ obs)
     assert np.allclose(B_r, rot @ B, atol=1e-14)
 
 
@@ -179,3 +180,37 @@ def test_zero_distance_raises():
         dipole_field([1, 0, 0], [0, 0, 0])
     with pytest.raises(ZeroDistance):
         inverse_dipole([1e-3, 0, 0], [0, 0, 0])
+
+
+unit_box = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
+field_rows = st.lists(st.tuples(unit_box, unit_box, unit_box, st.floats(0.05, 0.5)),
+                      min_size=1, max_size=8)
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+@given(field_rows, st.integers(0, 7))
+@settings(max_examples=100, deadline=None)
+def test_batch_matches_row_by_row(rows, bad_row):
+    spec = default_magnet_spec()
+    assume(all(np.linalg.norm(a) > 0.1 and np.linalg.norm(d) > 0.1 for _, a, d, _ in rows))
+    centres = np.array([0.1 * np.asarray(c) for c, _, _, _ in rows])
+    axes = np.array([_unit(a) for _, a, _, _ in rows])
+    observers = np.array([c + r * _unit(d) for c, (_, _, d, r) in zip(centres, rows)])
+    B = cylinder_field(spec, centres, axes, observers)
+    assert B.shape == (len(rows), 3)
+    for i in range(len(rows)):
+        B_row = cylinder_field(spec, centres[i], axes[i], observers[i])
+        assert np.linalg.norm(B[i] - B_row) <= 1e-12 * np.linalg.norm(B_row)
+
+    # one observer moved into the material, half-way between bore and rim
+    k = bad_row % len(rows)
+    side = np.cross(axes[k], [1.0, 0.0, 0.0])
+    if np.linalg.norm(side) < 0.1:
+        side = np.cross(axes[k], [0.0, 1.0, 0.0])
+    observers[k] = centres[k] + 0.011 * _unit(side)
+    with pytest.raises(ObserverInsideMaterial):
+        cylinder_field(spec, centres, axes, observers)
