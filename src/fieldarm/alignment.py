@@ -9,13 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .environment import (
-    FeasibilityStatus,
-    build_trees,
-    pose_feasibility,
-    segment_collides,
-    tool_capsule_for_pose,
-)
+from .environment import FeasibilityStatus, build_trees, pose_feasibility
 from .errors import (
     FinalPoseForbidden,
     InsufficientData,
@@ -207,7 +201,7 @@ FAR_FIELD_DIAMETERS = 8.0
 
 def replace_forbidden_pose(forbidden: Pose, sample, spec: MagnetSpec, env, dh,
                            displacement_axis="z", search_step=0.005, max_steps=40,
-                           seed=None, magnitude_tol=1e-9) -> ReplacementPlan:
+                           seed=None, magnitude_tol=1e-9, rng=None) -> ReplacementPlan:
     """Four-stage replacement of a collision-forbidden magnet pose.
 
     (i) record the target field of the forbidden pose at the sample;
@@ -216,6 +210,8 @@ def replace_forbidden_pose(forbidden: Pose, sample, spec: MagnetSpec, env, dh,
     moment for the new displacement so the field direction is recovered;
     (iv) slide the magnet along the magnet-sample ray (cube-root initial
     guess, then bisection on the cylinder model) to recover the magnitude.
+    A pose counts as reachable when pose_feasibility says so; `seed` is the
+    first IK seed and `rng` drives its DLS fallback (see pose_feasibility).
     """
     if displacement_axis not in ("y", "z"):
         raise ValueError("displacement_axis must be 'y' or 'z'")
@@ -223,17 +219,8 @@ def replace_forbidden_pose(forbidden: Pose, sample, spec: MagnetSpec, env, dh,
     trees = build_trees(env)
     state = {"seed": dh.home() if seed is None else np.asarray(seed, dtype=float)}
 
-    def feasible(pose, thorough=True):
-        # the tool capsule follows from the pose alone: cheap proof of collision
-        p, q, radius = tool_capsule_for_pose(dh, pose)
-        if segment_collides(trees, p, q, radius):
-            return False
-        if thorough:
-            result = pose_feasibility(pose, dh, env, state["seed"], trees)
-        else:
-            # search phase: a missed branch just skips one candidate
-            result = pose_feasibility(pose, dh, env, state["seed"], trees,
-                                      restarts=4, branch_attempts=2)
+    def feasible(pose):
+        result = pose_feasibility(pose, dh, env, state["seed"], trees, rng)
         if result.joints is not None:
             state["seed"] = result.joints
         return result.status is FeasibilityStatus.REACHABLE
@@ -293,7 +280,7 @@ def replace_forbidden_pose(forbidden: Pose, sample, spec: MagnetSpec, env, dh,
     for n in range(1, max_steps + 1):
         for sign in (1.0, -1.0):
             candidate = forbidden.with_position(forbidden.position + sign * n * search_step * axis)
-            if not feasible(candidate, thorough=False):
+            if not feasible(candidate):
                 continue
             found_displacement = True
             plan = plan_for(candidate)

@@ -11,6 +11,7 @@ failure, 2 usage or configuration error.
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -42,7 +43,7 @@ from .nvspin import (
 
 _USAGE_ERRORS = (ConfigError, ParseError, InsufficientData, UsageError)
 _STEP_COUNTS = ("ay_steps", "az_steps", "steps", "points")
-_POSITIVE = ("resolution_m", "linewidth_MHz")
+_POSITIVE = ("resolution_m", "linewidth_MHz", "d_GHz", "gamma_GHz_per_T")
 
 
 def _fmt(x) -> str:
@@ -245,7 +246,7 @@ def cmd_partition(args, config: RunConfig, units: Units) -> int:
     ay, az = _grid(args, units)
     points = sphere_segment_scan(config.sample, ay, az, args.standoff_m, config.magnet)
     results = partition_pose_dictionary(
-        [pt.pose for pt in points], config.dh, config.environment
+        [pt.pose for pt in points], config.dh, config.environment, random_seed=config.seed
     )
     a = units.angle_label
     columns = [f"alpha_y_{a}", f"alpha_z_{a}", "status", "order_index"]
@@ -268,6 +269,7 @@ def cmd_replace(args, config: RunConfig, units: Units) -> int:
     plan = replace_forbidden_pose(
         forbidden, config.sample, config.magnet, config.environment, config.dh,
         displacement_axis=args.axis, search_step=args.step_m, max_steps=args.max_steps,
+        rng=config.seed,
     )
     f = units.field_label
     payload = {
@@ -344,9 +346,10 @@ def cmd_fit_nv(args, config: RunConfig, units: Units) -> int:
 def _check_args(args, config: RunConfig):
     """Reject command-line values no command can work with, before any work.
 
-    Every float must be finite, step counts at least 1, the resolution and
-    linewidth positive, and the standoff must put the sample beyond the
-    magnet's end face.
+    Every float must be finite, step counts at least 1, the resolution,
+    linewidth, zero-field splitting and gyromagnetic ratio positive, the
+    strain term non-negative, the dip depth in (0, 1), and the standoff must
+    put the sample beyond the magnet's end face.
     """
     for name, value in sorted(vars(args).items()):
         flag = "--" + name.replace("_", "-")
@@ -356,6 +359,10 @@ def _check_args(args, config: RunConfig):
             raise UsageError(f"{flag} must be >= 1, got {value}")
         if name in _POSITIVE and value <= 0:
             raise UsageError(f"{flag} must be > 0, got {value}")
+        if name == "pi_MHz" and value < 0:
+            raise UsageError(f"{flag} must be >= 0, got {value}")
+        if name == "depth" and not 0 < value < 1:
+            raise UsageError(f"{flag} must be in (0, 1), got {value}")
     half_length = config.magnet.length / 2.0
     if getattr(args, "standoff_m", math.inf) <= half_length:
         raise UsageError(f"--standoff-m {args.standoff_m} m puts the sample inside the "
@@ -466,8 +473,8 @@ def main(argv=None) -> int:
         else:
             config = config_from_dict({})
         if args.seed is not None:
-            object.__setattr__(config, "seed", args.seed)
-            config.resolved["seed"] = args.seed
+            config = dataclasses.replace(config, seed=args.seed,
+                                         resolved={**config.resolved, "seed": args.seed})
         _check_args(args, config)
         units = Units(args.units)
         return args.func(args, config, units)

@@ -12,7 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometry, EndpointInCollision, NoSolution, ParseError
-from .kinematics import DHTable, Pose, frame_chain, inverse_kinematics
+from .kinematics import (
+    DHTable,
+    Pose,
+    frame_chain,
+    has_spherical_wrist,
+    ik_branches,
+    inverse_kinematics,
+)
 
 _MIN_TRIANGLE_AREA = 1e-12  # m^2
 
@@ -325,15 +332,6 @@ def build_trees(env: list[TriangleMesh]) -> list[AabbTree]:
     return [AabbTree(m) for m in env]
 
 
-def tool_capsule_for_pose(dh: DHTable, pose: Pose):
-    """The magnet-tool capsule implied by a TCP pose alone (no IK needed).
-
-    Every IK solution shares this capsule, so a hit here proves Collision.
-    """
-    tip = pose.position
-    return tip - dh.tool_offset * pose.axis, tip, float(dh.link_radii[-1])
-
-
 def segment_collides(trees, p, q, radius) -> bool:
     for tree in trees:
         if tree.segment_distance(p, q, upper_bound=radius * 1.0000001) - radius <= 0.0:
@@ -383,48 +381,81 @@ def path_feasible(dh, j_start, j_end, env, step=DEFAULT_PATH_STEP, trees=None) -
     return True
 
 
-def pose_feasibility(pose, dh, env, seed, trees=None, rng=None,
-                     restarts=10, branch_attempts=6):
+DLS_BRANCHES = 6    # DLS solves per pose when no closed form applies
+DLS_RESTARTS = 10   # random restarts per DLS solve
+
+
+def _ik_candidates(pose, dh, seed, rng):
+    """IK solutions of a pose, one at a time.
+
+    A spherical-wrist table gives every branch (ik_branches), nearest
+    `seed` first. Any other table gives up to DLS_BRANCHES damped
+    least-squares solutions, from `seed` and then from uniform draws of
+    `rng`, stopping at the first solve that fails.
+    """
+    seed = np.asarray(seed, dtype=float)
+    if has_spherical_wrist(dh):
+        yield from sorted(ik_branches(dh, pose), key=lambda q: float(np.linalg.norm(q - seed)))
+        return
+    rng = np.random.default_rng(0 if rng is None else rng)
+    for _ in range(DLS_BRANCHES):
+        try:
+            q = inverse_kinematics(dh, pose, seed=seed, rng=rng, restarts=DLS_RESTARTS)
+        except NoSolution:
+            return
+        yield q
+        seed = rng.uniform(dh.q_min, dh.q_max)
+
+
+def pose_feasibility(pose, dh, env, seed, trees=None, rng=None):
     """IK then collision check for a single pose.
 
-    A colliding IK solution does not prove the pose is forbidden: other IK
-    branches may clear the environment, so several randomised solves are
-    tried before reporting Collision.
+    Reachable if some IK solution clears the environment (the first one
+    found, nearest `seed` first), Collision if every solution collides,
+    IkFailure if there is none. For a spherical-wrist table the solutions
+    are every IK branch, so Collision is proof. Capsules are checked from
+    the tool inward, and a capsule that an earlier solution shares (the
+    wrist and tool follow from the pose alone; wrist flips share the arm)
+    is not checked again: at most 3 + 4 x 4 capsule queries per pose.
+    `rng` (a Generator, or a seed for np.random.default_rng) drives the
+    sampled DLS solutions of any other table.
     """
     if trees is None:
         trees = build_trees(env)
-    if rng is None:
-        rng = np.random.default_rng(12345)
-    colliding = None
-    current_seed = seed
-    for attempt in range(branch_attempts):
-        try:
-            q = inverse_kinematics(dh, pose, seed=current_seed, rng=rng, restarts=restarts)
-        except NoSolution:
-            break
-        if check_collision(dh, q, env, trees).clear:
+    hits = {}
+    first = None
+    for q in _ik_candidates(pose, dh, seed, rng):
+        if first is None:
+            first = q
+        origins = [f[:3, 3] for f in frame_chain(dh, q)]
+        for i in reversed(range(len(dh.link_radii))):
+            key = (i, tuple(np.round(np.concatenate(origins[i:i + 2]), 9)))
+            if key not in hits:
+                hits[key] = segment_collides(trees, origins[i], origins[i + 1], dh.link_radii[i])
+            if hits[key]:
+                break
+        else:
             return PoseFeasibility(pose, FeasibilityStatus.REACHABLE, q)
-        colliding = q
-        current_seed = rng.uniform(dh.q_min, dh.q_max)
-    if colliding is not None:
-        return PoseFeasibility(pose, FeasibilityStatus.COLLISION, colliding)
-    return PoseFeasibility(pose, FeasibilityStatus.IK_FAILURE, None)
+    if first is None:
+        return PoseFeasibility(pose, FeasibilityStatus.IK_FAILURE, None)
+    return PoseFeasibility(pose, FeasibilityStatus.COLLISION, first)
 
 
-def partition_pose_dictionary(poses, dh, env, seed=None) -> list[PoseFeasibility]:
+def partition_pose_dictionary(poses, dh, env, seed=None, random_seed=0) -> list[PoseFeasibility]:
     """Classify each pose as Reachable / IkFailure / Collision, in input order.
 
-    The IK seed for each pose is the previous successful solution, mirroring
-    a meander scan's locality; deterministic for fixed inputs.
+    The IK seed for each pose is the previous pose's solution, mirroring a
+    meander scan's locality. Pose i's DLS fallback (tables without a
+    spherical wrist) draws from np.random.default_rng([random_seed, i]);
+    deterministic for fixed inputs.
     """
     if seed is None:
         seed = dh.home()
     trees = build_trees(env)
     out = []
     current_seed = np.asarray(seed, dtype=float)
-    for pose in poses:
-        rng = np.random.default_rng(12345)  # fixed stream: determinism per item
-        result = pose_feasibility(pose, dh, env, current_seed, trees, rng)
+    for i, pose in enumerate(poses):
+        result = pose_feasibility(pose, dh, env, current_seed, trees, [random_seed, i])
         if result.joints is not None:
             current_seed = result.joints
         out.append(result)

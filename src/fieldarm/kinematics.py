@@ -222,6 +222,87 @@ def _dls_solve(dh, T_target, q0, damping, max_iter, stall_limit=30):
     return None
 
 
+def has_spherical_wrist(dh: DHTable) -> bool:
+    """True when Pieper's closed form applies to the table (joints 1-based).
+
+    The wrist axes (joints 4-6) meet in one point: a4 = a5 = d5 = 0,
+    alpha4 = -pi/2, alpha5 = +pi/2, alpha6 = 0. The arm (joints 1-3) keeps
+    that point in the vertical plane through the base axis at azimuth
+    theta1: alpha1 = +-pi/2, alpha2 = 0 and no lateral offset,
+    d2 + d3 + d4 cos(alpha3) = 0. Each must hold within 1e-6, since configs
+    store pi/2 to 11 digits; a loose test is safe because ik_branches keeps
+    only branches whose forward kinematics match.
+    """
+    a, alpha, d = dh.a, dh.alpha, dh.d
+    zero = [a[3], a[4], d[4], alpha[5], alpha[1], np.cos(alpha[0]),
+            d[1] + d[2] + d[3] * np.cos(alpha[2]), alpha[3] + np.pi / 2, alpha[4] - np.pi / 2]
+    return bool(np.all(np.abs(zero) <= 1e-6))
+
+
+def ik_branches(dh: DHTable, target: Pose) -> list[np.ndarray]:
+    """Every IK solution of a spherical-wrist table, in closed form (Pieper).
+
+    The wrist centre w follows from the target alone. Joint 1 points the arm
+    plane at w (two ways); |w - joint-2 origin|^2 = A + B cos q3 + C sin q3,
+    with A, B, C fitted from three frame_chain calls, gives two elbows; q2 is
+    the rotation about z1 that carries the wrist onto w. The wrist rotation
+    is Rz(q4) Ry(q5) Rz(q6) (plus offsets), which gives two flips. Each
+    angle is shifted by 2 pi into the joint limits, and only branches whose
+    forward kinematics reach the target within POS_TOL/ROT_TOL are kept, so
+    at most 8 come back.
+    """
+    T = target.matrix()
+    R = T[:3, :3]
+    w = T[:3, 3] - (dh.tool_offset + dh.a[5]) * R[:, 0] - dh.d[5] * R[:, 2]
+    off = dh.theta_offset
+    f = []
+    for q3 in (0.0, np.pi / 2, np.pi):
+        frames = frame_chain(dh, [0.0, 0.0, q3, 0.0, 0.0, 0.0])
+        f.append(float(np.sum((frames[4][:3, 3] - frames[1][:3, 3]) ** 2)))
+    A = (f[0] + f[2]) / 2.0
+    B = (f[0] - f[2]) / 2.0
+    C = f[1] - A
+    phi = np.arctan2(C, B)
+    out = []
+    azimuth = np.arctan2(w[1], w[0])
+    for theta1 in (azimuth, azimuth + np.pi):
+        q1 = theta1 - off[0]
+        o1 = frame_chain(dh, [q1, 0.0, 0.0, 0.0, 0.0, 0.0])[1][:3, 3]
+        k = (float(np.sum((w - o1) ** 2)) - A) / np.hypot(B, C)
+        if abs(k) > 1.0 + 1e-9:
+            continue
+        elbow = np.arccos(np.clip(k, -1.0, 1.0))
+        for q3 in (phi + elbow, phi - elbow):
+            frames = frame_chain(dh, [q1, 0.0, q3, 0.0, 0.0, 0.0])
+            z1 = frames[1][:3, 2]
+            u = frames[4][:3, 3] - o1
+            v = w - o1
+            u = u - (u @ z1) * z1
+            v = v - (v @ z1) * z1
+            q2 = np.arctan2(z1 @ np.cross(u, v), u @ v)
+            M = frame_chain(dh, [q1, q2, q3, 0.0, 0.0, 0.0])[3][:3, :3].T @ R
+            for sign in (1.0, -1.0):
+                s5 = sign * np.hypot(M[0, 2], M[1, 2])
+                t5 = np.arctan2(s5, M[2, 2])
+                # wrist singularity (q5 + offset = 0 or pi): only theta4 +- theta6
+                # is fixed, so take q4 = 0
+                t4 = np.arctan2(sign * M[1, 2], sign * M[0, 2]) if abs(s5) > 1e-12 else off[3]
+                rest = (rot_z(t4) @ rot_y(t5)).T @ M   # Rz(theta6)
+                t6 = np.arctan2(rest[1, 0], rest[0, 0])
+                q = np.array([q1, q2, q3, t4 - off[3], t5 - off[4], t6 - off[5]])
+                # the 2 pi shift of each angle at or just above q_min (1e-9 slack)
+                q = np.remainder(q - dh.q_min + 1e-9, 2.0 * np.pi) + dh.q_min - 1e-9
+                if np.any(q > dh.q_max + 1e-9):
+                    continue
+                q = np.clip(q, dh.q_min, dh.q_max)
+                e = _pose_error(T, fk_matrix(dh, q))
+                if np.linalg.norm(e[:3]) > POS_TOL or np.linalg.norm(e[3:]) > ROT_TOL:
+                    continue
+                if not any(np.max(np.abs(q - p)) <= 1e-9 for p in out):
+                    out.append(q)
+    return out
+
+
 def inverse_kinematics(
     dh: DHTable,
     target: Pose,
@@ -231,14 +312,22 @@ def inverse_kinematics(
     restarts: int = 40,
     rng: np.random.Generator = None,
 ) -> np.ndarray:
-    """Damped least-squares IK with joint-limit clamping and random restarts.
+    """Joint configuration reaching `target` within POS_TOL/ROT_TOL.
 
-    Raises NoSolution when no attempt reaches the pose tolerance
-    (position 1e-4 m, orientation 1e-3 rad).
+    A spherical-wrist table gets the ik_branches solution nearest `seed`
+    (the other arguments are unused). Any other table falls back to damped
+    least squares with joint-limit clamping, from `seed` and then from
+    `restarts` uniform draws of `rng`. Raises NoSolution when nothing
+    reaches the pose.
     """
     if seed is None:
         seed = dh.home()
     dh.check_limits(seed)
+    if has_spherical_wrist(dh):
+        branches = ik_branches(dh, target)
+        if not branches:
+            raise NoSolution("no inverse-kinematics branch reaches the pose")
+        return min(branches, key=lambda q: float(np.linalg.norm(q - seed)))
     # quick reach rejection: target beyond maximal arm extension
     reach = float(np.sum(np.abs(dh.a)) + np.sum(np.abs(dh.d)) + dh.tool_offset)
     if np.linalg.norm(target.position) > reach:

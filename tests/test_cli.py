@@ -139,6 +139,21 @@ def test_partition_walled(tmp_path, walled_config_path):
     assert "Reachable" in statuses and "Collision" in statuses
 
 
+def test_partition_rows_do_not_depend_on_seed(tmp_path, walled_config_path):
+    # the bundled arm has a spherical wrist: every IK branch is checked, no sampling
+    rows = []
+    for seed in ("7", "8"):
+        out = tmp_path / f"partition-{seed}.csv"
+        assert main(["--config", walled_config_path, "--seed", seed, "partition",
+                     "--ay-start", "30", "--ay-stop", "85", "--ay-steps", "6",
+                     "--az-start", "5", "--az-stop", "85", "--az-steps", "6",
+                     "--out", str(out)]) == 0
+        text = out.read_text()
+        assert f"# seed {seed}\n" in text
+        rows.append([ln for ln in text.splitlines() if not ln.startswith("#")])
+    assert rows[0] == rows[1]
+
+
 def test_replace_identity_without_environment(tmp_path):
     out = tmp_path / "plan.json"
     rc = main(["replace", "--ay", "20", "--az", "30", "--out", str(out)])
@@ -247,9 +262,15 @@ SCHEDULE = ["schedule", "--b-start", "0.5", "--b-stop", "10", "--steps", "3"]
     ["odmr", "--bz", "nan"],
     _scan_args(standoff="0.01"),
     ["replace", "--ay", "20", "--az", "30", "--standoff-m", "0.01"],
+    ["odmr", "--depth", "1.5"],
+    ["odmr", "--depth", "0"],
+    ["odmr", "--d-GHz", "0"],
+    ["odmr", "--pi-MHz", "-1"],
+    ["odmr", "--gamma-GHz-per-T", "0"],
 ], ids=["scan-steps-0", "schedule-steps-0", "odmr-points-0", "schedule-resolution-0",
         "odmr-linewidth-0", "scan-standoff-nan", "schedule-ay-nan", "schedule-b-stop-inf",
-        "odmr-bz-nan", "scan-standoff-in-magnet", "replace-standoff-in-magnet"])
+        "odmr-bz-nan", "scan-standoff-in-magnet", "replace-standoff-in-magnet",
+        "odmr-depth-1.5", "odmr-depth-0", "odmr-d-0", "odmr-pi-negative", "odmr-gamma-0"])
 def test_out_of_range_argument_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "artefact"
     assert main(argv + ["--out", str(out)]) == 2

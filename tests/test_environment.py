@@ -1,8 +1,14 @@
 import dataclasses
+import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fieldarm.environment
+from fieldarm.config import load_config
 from fieldarm.environment import (
     AabbTree,
     FeasibilityStatus,
@@ -14,10 +20,20 @@ from fieldarm.environment import (
     path_feasible,
     pose_feasibility,
     segment_triangle_distance,
-    tool_capsule_for_pose,
 )
 from fieldarm.errors import DegenerateGeometry, EndpointInCollision, ParseError
-from fieldarm.kinematics import Pose, forward_kinematics, inverse_kinematics
+from fieldarm.kinematics import (
+    POS_TOL,
+    Pose,
+    forward_kinematics,
+    has_spherical_wrist,
+    ik_branches,
+    magnet_pose_for_field_direction,
+)
+
+from conftest import CONFIG_DIR, STANDOFF
+
+WALLED = load_config(os.path.join(CONFIG_DIR, "walled.yaml"))
 
 UNIT_CUBE_OFF = """OFF
 8 12 0
@@ -212,15 +228,6 @@ def test_pose_feasibility_statuses(arm, wall):
     assert res.status in (FeasibilityStatus.COLLISION, FeasibilityStatus.IK_FAILURE)
 
 
-def test_tool_capsule_follows_pose(arm):
-    pose = Pose(0.3, 0.1, 0.25, 0.0, 0.4, 0.9)
-    base, tip, radius = tool_capsule_for_pose(arm, pose)
-    assert np.allclose(tip, pose.position)
-    axis = pose.rotation() @ np.array([1.0, 0.0, 0.0])
-    assert np.allclose(base, pose.position - arm.tool_offset * axis)
-    assert radius == arm.link_radii[-1]
-
-
 def test_partition_deterministic(arm, wall):
     poses = [Pose(0.2, y, 0.3, 0.0, 0.5, 0.2) for y in np.linspace(-0.12, 0.12, 6)]
     first = partition_pose_dictionary(poses, arm, [wall])
@@ -245,3 +252,70 @@ def test_robot_body_validation(dh):
         dataclasses.replace(dh, link_radii=np.full(6, 0.04))
     with pytest.raises(ValueError):
         dataclasses.replace(dh, link_radii=np.array([0.04, 0.04, 0.04, 0.04, 0.04, 0.04, -0.01]))
+
+
+def _tessellated(mesh, n):
+    """The quadrilateral wall c0 c1 c2 c3 cut into 2 n^2 triangles."""
+    c0, c1, _, c3 = mesh.vertices
+    u, v = np.meshgrid(np.linspace(0, 1, n + 1), np.linspace(0, 1, n + 1), indexing="ij")
+    vertices = c0 + u.reshape(-1, 1) * (c1 - c0) + v.reshape(-1, 1) * (c3 - c0)
+    triangles = []
+    for i in range(n):
+        for j in range(n):
+            a, b = i * (n + 1) + j, (i + 1) * (n + 1) + j
+            triangles += [[a, b, b + 1], [a, b + 1, a + 1]]
+    return TriangleMesh(vertices, triangles, "tessellated-wall")
+
+
+ENVIRONMENTS = {"walled": WALLED.environment,
+                "tessellated": [_tessellated(WALLED.environment[0], 6)]}
+
+
+@pytest.mark.parametrize("name", sorted(ENVIRONMENTS))
+@given(ay=st.floats(-10.0, 90.0), az=st.floats(-60.0, 120.0),
+       u=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6).map(np.array))
+@settings(max_examples=40, deadline=None)
+def test_pose_feasibility_is_brute_force_over_branches(name, ay, az, u):
+    dh, env = WALLED.dh, ENVIRONMENTS[name]
+    trees = build_trees(env)
+    pose = magnet_pose_for_field_direction(WALLED.sample, math.radians(ay), math.radians(az),
+                                           STANDOFF)
+    seed = dh.q_min + u * (dh.q_max - dh.q_min)
+    result = pose_feasibility(pose, dh, env, seed, trees)
+    branches = ik_branches(dh, pose)
+    clear = [check_collision(dh, q, env, trees).clear for q in branches]
+    if not branches:
+        assert result.status is FeasibilityStatus.IK_FAILURE
+    elif any(clear):
+        assert result.status is FeasibilityStatus.REACHABLE
+        assert check_collision(dh, result.joints, env, trees).clear
+    else:
+        assert result.status is FeasibilityStatus.COLLISION
+    if branches:
+        assert any(np.array_equal(result.joints, q) for q in branches)
+
+
+def test_non_spherical_table_uses_seeded_dls_fallback(arm, wall, monkeypatch):
+    a = arm.a.copy()
+    a[3] = 0.01
+    bent = dataclasses.replace(arm, a=a)
+    assert not has_spherical_wrist(bent)
+
+    def no_closed_form(*args):
+        raise AssertionError("ik_branches called for a table without a spherical wrist")
+
+    monkeypatch.setattr(fieldarm.environment, "ik_branches", no_closed_form)
+    poses = [Pose(0.2, 0.1, 0.3, 0.0, 0.5, 0.2), Pose(0.2, 0.05, 0.3, 0.0, 0.5, 0.2),
+             Pose(0.2, -0.15, 0.3, 0.0, 0.5, 0.2)]
+    first = partition_pose_dictionary(poses, bent, [wall], random_seed=7)
+    again = partition_pose_dictionary(poses, bent, [wall], random_seed=7)
+    assert [r.status for r in first] == [r.status for r in again]
+    for r, s in zip(first, again):
+        assert (r.joints is None and s.joints is None) or np.array_equal(r.joints, s.joints)
+    assert first[0].status is FeasibilityStatus.REACHABLE
+    assert first[2].status is not FeasibilityStatus.REACHABLE
+    for r in first:
+        if r.status is FeasibilityStatus.REACHABLE:
+            reached = forward_kinematics(bent, r.joints)
+            assert np.linalg.norm(reached.position - r.pose.position) <= POS_TOL
+            assert check_collision(bent, r.joints, [wall]).clear

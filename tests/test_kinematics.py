@@ -1,21 +1,27 @@
 import math
+import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fieldarm.config import load_config
 from fieldarm.errors import JointLimitViolation, NoSolution
 from fieldarm.kinematics import (
     POS_TOL,
     ROT_TOL,
     DHTable,
     Pose,
+    _dls_solve,
+    _pose_error,
     angles_for_direction,
     default_dh_table,
     fk_matrix,
     forward_kinematics,
     frame_chain,
+    has_spherical_wrist,
+    ik_branches,
     inverse_kinematics,
     jacobian,
     magnet_pose_for_field_direction,
@@ -23,6 +29,17 @@ from fieldarm.kinematics import (
     unit_normal,
 )
 from fieldarm.rotations import euler_to_matrix, matrix_to_euler, normalize_angle, rot_y, rot_z
+
+from conftest import CONFIG_DIR
+
+BUNDLED_TABLES = {name: load_config(os.path.join(CONFIG_DIR, f"{name}.yaml")).dh
+                  for name in ("default", "walled")}
+# a joint configuration as fractions of each joint's range, limits included
+UNIT6 = st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6).map(np.array)
+
+
+def _in_range(dh, u):
+    return dh.q_min + u * (dh.q_max - dh.q_min)
 
 
 # --- independent matrix-chain oracle: four elementary homogeneous transforms ---
@@ -120,6 +137,57 @@ def test_ik_round_trip_on_fk_targets():
         dR = target.rotation() @ reached.rotation().T
         assert abs(np.arccos(np.clip((np.trace(dR) - 1) / 2, -1, 1))) <= ROT_TOL * 1.5
     assert failures <= 1
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_TABLES))
+@given(u=UNIT6)
+@settings(max_examples=200, deadline=None)
+def test_ik_branches_reach_fk_targets_within_limits(name, u):
+    dh = BUNDLED_TABLES[name]
+    assert has_spherical_wrist(dh)
+    target = forward_kinematics(dh, _in_range(dh, u))
+    branches = ik_branches(dh, target)
+    assert 1 <= len(branches) <= 8
+    wrist_and_tool = None
+    for q in branches:
+        dh.check_limits(q)
+        e = _pose_error(target.matrix(), fk_matrix(dh, q))
+        assert np.linalg.norm(e[:3]) <= POS_TOL and np.linalg.norm(e[3:]) <= ROT_TOL
+        # the wrist centre, flange and TCP follow from the pose alone
+        origins = np.array([f[:3, 3] for f in frame_chain(dh, q)[4:]])
+        if wrist_and_tool is None:
+            wrist_and_tool = origins
+        assert np.allclose(origins, wrist_and_tool, atol=1e-9, rtol=0)
+
+
+@given(u=UNIT6, start=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_dls_solution_is_an_ik_branch(u, start):
+    dh = default_dh_table()
+    T = fk_matrix(dh, _in_range(dh, u))
+    rng = np.random.default_rng(start)
+    for _ in range(10):  # random starts, as inverse_kinematics' restarts
+        q = _dls_solve(dh, T, rng.uniform(dh.q_min, dh.q_max), damping=0.01, max_iter=500)
+        if q is not None:
+            break
+    assume(q is not None)
+    for _ in range(10):  # Gauss-Newton steps polish away the DLS tolerance
+        q = q + np.linalg.lstsq(jacobian(dh, q), _pose_error(T, fk_matrix(dh, q)), rcond=None)[0]
+    # off singularities, where a solution is isolated, and inside the limits
+    assume(np.linalg.cond(jacobian(dh, q)) < 1e4)
+    assume(np.all((q >= dh.q_min) & (q <= dh.q_max)))
+    branches = ik_branches(dh, Pose.from_matrix(T))
+    gap = min(np.max(np.abs(np.angle(np.exp(1j * (q - b))))) for b in branches)
+    assert gap <= 1e-6
+
+
+def test_ik_returns_branch_nearest_seed(dh):
+    target = forward_kinematics(dh, np.array([0.3, 0.4, -0.2, 0.1, 0.5, 0.0]))
+    branches = ik_branches(dh, target)
+    assert len(branches) > 1
+    for b in branches:
+        q = inverse_kinematics(dh, target, seed=b)
+        assert np.array_equal(q, b)
 
 
 def test_ik_unreachable_target_raises():
