@@ -25,6 +25,7 @@ from .kinematics import (
     quantize_position,
     unit_normal,
 )
+from .lsq import least_squares
 from .magnetostatics import MagnetSpec, cylinder_field, inverse_dipole
 
 SIMILARITY_SCALE_MT = 3.0  # Gaussian kernel length scale, millitesla
@@ -108,8 +109,6 @@ def calibrate_offsets(measured, spec: MagnetSpec, sample, standoff) -> Calibrati
     Bx, By, Bz) with fields in tesla. The magnet is the same in every mass
     configuration; only its alpha_z offset differs.
     """
-    from scipy.optimize import least_squares
-
     if standoff <= 0:
         raise ValueError("standoff must be > 0")
     rows = [(float(ay), float(az), int(mi), np.asarray(B, dtype=float))

@@ -44,6 +44,7 @@ from .nvspin import (
 _USAGE_ERRORS = (ConfigError, ParseError, InsufficientData, UsageError)
 _STEP_COUNTS = ("ay_steps", "az_steps", "steps", "points")
 _POSITIVE = ("resolution_m", "linewidth_MHz", "d_GHz", "gamma_GHz_per_T")
+_NON_NEGATIVE = ("pi_MHz", "seed")
 
 
 def _fmt(x) -> str:
@@ -348,8 +349,8 @@ def _check_args(args, config: RunConfig):
 
     Every float must be finite, step counts at least 1, the resolution,
     linewidth, zero-field splitting and gyromagnetic ratio positive, the
-    strain term non-negative, the dip depth in (0, 1), and the standoff must
-    put the sample beyond the magnet's end face.
+    strain term and the seed non-negative, the dip depth in (0, 1), and the
+    standoff must put the sample beyond the magnet's end face.
     """
     for name, value in sorted(vars(args).items()):
         flag = "--" + name.replace("_", "-")
@@ -359,7 +360,7 @@ def _check_args(args, config: RunConfig):
             raise UsageError(f"{flag} must be >= 1, got {value}")
         if name in _POSITIVE and value <= 0:
             raise UsageError(f"{flag} must be > 0, got {value}")
-        if name == "pi_MHz" and value < 0:
+        if name in _NON_NEGATIVE and value is not None and value < 0:
             raise UsageError(f"{flag} must be >= 0, got {value}")
         if name == "depth" and not 0 < value < 1:
             raise UsageError(f"{flag} must be in (0, 1), got {value}")

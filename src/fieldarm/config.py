@@ -155,6 +155,8 @@ def config_from_dict(data, base_dir=".") -> RunConfig:
     seed_raw = data.get("seed", 0)
     if not isinstance(seed_raw, int) or isinstance(seed_raw, bool):
         raise ConfigError("seed: expected an integer")
+    if seed_raw < 0:
+        raise ConfigError(f"seed: expected a non-negative integer, got {seed_raw}")
     sample = _vector3(data.get("sample_m", [0.2, 0.0, 0.3]), "sample_m")
     dh = _parse_dh(data["dh"]) if "dh" in data else default_dh_table()
     magnet = _parse_magnet(data["magnet"]) if "magnet" in data else default_magnet_spec()

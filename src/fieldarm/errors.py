@@ -88,7 +88,3 @@ class StateMixingTooStrong(FieldArmError):
 
 class ComplexRoots(FieldArmError):
     """Characteristic cubic produced complex roots (parameter error)."""
-
-
-class NoConsistentField(FieldArmError):
-    """No (|B|, theta) pair reproduces the given resonance frequencies."""

@@ -167,6 +167,7 @@ def jacobian(dh: DHTable, q: np.ndarray) -> np.ndarray:
 
 POS_TOL = 1e-4   # m
 ROT_TOL = 1e-3   # rad
+LIMIT_SLACK = 1e-6  # rad, closed-form IK angles this far outside a joint limit are clipped
 
 
 def _pose_error(T_target: np.ndarray, T_current: np.ndarray) -> np.ndarray:
@@ -290,9 +291,12 @@ def ik_branches(dh: DHTable, target: Pose) -> list[np.ndarray]:
                 rest = (rot_z(t4) @ rot_y(t5)).T @ M   # Rz(theta6)
                 t6 = np.arctan2(rest[1, 0], rest[0, 0])
                 q = np.array([q1, q2, q3, t4 - off[3], t5 - off[4], t6 - off[5]])
-                # the 2 pi shift of each angle at or just above q_min (1e-9 slack)
-                q = np.remainder(q - dh.q_min + 1e-9, 2.0 * np.pi) + dh.q_min - 1e-9
-                if np.any(q > dh.q_max + 1e-9):
+                # the 2 pi shift of each angle at or just above q_min; the slack
+                # keeps an angle that atan2 puts just outside a limit (q1 lands
+                # 8e-9 rad below q_min with the wrist centre 0.3 mm off the base
+                # axis), and the FK check below arbitrates
+                q = np.remainder(q - dh.q_min + LIMIT_SLACK, 2.0 * np.pi) + dh.q_min - LIMIT_SLACK
+                if np.any(q > dh.q_max + LIMIT_SLACK):
                     continue
                 q = np.clip(q, dh.q_min, dh.q_max)
                 e = _pose_error(T, fk_matrix(dh, q))

@@ -1,6 +1,6 @@
 """NV-centre spin physics: spin-1 Hamiltonian, resonances, the characteristic
 cubic for the spin energies, ODMR spectrum synthesis/fitting, and inference of
-field polar angle and NV-axis orientation from splitting data.
+the NV-axis orientation from splitting data.
 
 All frequencies are in Hz internally; the NV frame has its z-axis along the
 defect's symmetry axis.
@@ -16,11 +16,11 @@ from .errors import (
     DegenerateFit,
     FitDiverged,
     InsufficientData,
-    NoConsistentField,
     StateMixingTooStrong,
     ZeroMagnitude,
 )
 from .kinematics import unit_normal
+from .lsq import least_squares
 
 GAMMA_E_DEFAULT = 28.02495e9  # Hz/T, electron gyromagnetic ratio / 2pi
 
@@ -170,42 +170,6 @@ def resonances_from_cubic(D, Pi, beta, gamma_angle):
     return r[..., 1] - r[..., 0], r[..., 2] - r[..., 0]
 
 
-def polar_angle_from_resonances(f_minus, f_plus, D, Pi, gamma_e=GAMMA_E_DEFAULT,
-                                B_max=0.05, tol=1e3):
-    """Invert the resonance model for (|B|, theta); round-trip within `tol` Hz."""
-    from scipy.optimize import least_squares
-
-    if f_plus < f_minus:
-        raise ValueError("f_plus must be >= f_minus")
-
-    def residual(x):
-        B, theta = x
-        fm, fp = resonances_from_cubic(D, Pi, gamma_e * B, theta)
-        return [fm - f_minus, fp - f_plus]
-
-    best = None
-    for B0 in np.linspace(1e-5, B_max * 0.9, 6):
-        for th0 in np.linspace(0.05, np.pi / 2 - 0.05, 6):
-            sol = least_squares(
-                residual, [B0, th0], bounds=([0.0, 0.0], [B_max, np.pi / 2]),
-                xtol=1e-14, ftol=1e-14, gtol=1e-14,
-            )
-            if best is None or sol.cost < best.cost:
-                best = sol
-            if sol.cost < (tol / 10.0) ** 2:
-                best = sol
-                break
-        else:
-            continue
-        break
-    fm, fp = resonances_from_cubic(D, Pi, gamma_e * best.x[0], best.x[1])
-    if abs(fm - f_minus) > tol or abs(fp - f_plus) > tol:
-        raise NoConsistentField(
-            f"no (|B|, theta) reproduces the resonances within {tol:.0f} Hz"
-        )
-    return {"B_magnitude": float(best.x[0]), "theta": float(best.x[1])}
-
-
 def normalize_splittings(splittings, B_magnitudes):
     """nu_n(i) = nu(i) / |B(i)| * max|B|."""
     nu = np.asarray(splittings, dtype=float)
@@ -234,8 +198,6 @@ def fit_orientation(trajectory, D, Pi, gamma_e=GAMMA_E_DEFAULT,
     nu_n in Hz. Multi-start over an angle grid guards against local minima.
     The +-axis degeneracy is resolved by reporting angles in [0, pi).
     """
-    from scipy.optimize import least_squares
-
     traj = np.asarray(trajectory, dtype=float).reshape(-1, 3)
     if len(traj) < 4:
         raise InsufficientData(f"need >= 4 trajectory points, got {len(traj)}")
@@ -351,9 +313,11 @@ def _two_deepest_minima(f, c, min_separation=None):
 
 
 def fit_resonances(spectrum: OdmrSpectrum) -> ResonancePair:
-    """Double-Lorentzian dip fit; falls back to one dip when they merge."""
-    from scipy.optimize import curve_fit
+    """Double-Lorentzian dip fit; falls back to one dip when they merge.
 
+    The errors are the square roots of the diagonal of the covariance
+    2 cost / (m - n) (J^T J)^-1 for m spectrum points and n parameters.
+    """
     f = spectrum.frequencies
     c = spectrum.contrast
     span = f.max() - f.min()
@@ -364,33 +328,36 @@ def fit_resonances(spectrum: OdmrSpectrum) -> ResonancePair:
         mins = [f[int(np.argmin(c))]]
     merged = len(mins) < 2 or abs(mins[0] - mins[1]) < width0 / 2.0
 
+    if merged:
+        def residual(p):
+            f0, w, d, base = p
+            return base - d * _lorentzian_dip(f, f0, w) - c
+
+        p0 = [mins[0], width0, depth0, 1.0]
+    else:
+        def residual(p):
+            f1, f2, w, d1, d2, base = p
+            return base - d1 * _lorentzian_dip(f, f1, w) - d2 * _lorentzian_dip(f, f2, w) - c
+
+        p0 = [*sorted(mins[:2]), width0, depth0, depth0, 1.0]
+    if len(f) <= len(p0):
+        raise InsufficientData(f"need > {len(p0)} spectrum points, got {len(f)}")
+    sol = least_squares(residual, p0)
+    if not sol.success:
+        raise FitDiverged("ODMR dip fit failed to converge")
     try:
-        if merged:
-            def single(x, f0, w, d, base):
-                return base - d * _lorentzian_dip(x, f0, w)
-
-            popt, pcov = curve_fit(
-                single, f, c, p0=[mins[0], width0, depth0, 1.0], maxfev=20000
-            )
-            err = math.sqrt(max(pcov[0, 0], 0.0))
-            return ResonancePair(popt[0], popt[0], err, err, merged=True)
-
-        lo, hi = sorted(mins[:2])
-
-        def double(x, f1, f2, w, d1, d2, base):
-            return base - d1 * _lorentzian_dip(x, f1, w) - d2 * _lorentzian_dip(x, f2, w)
-
-        popt, pcov = curve_fit(
-            double, f, c, p0=[lo, hi, width0, depth0, depth0, 1.0], maxfev=20000
-        )
-    except RuntimeError as exc:
-        raise FitDiverged(str(exc)) from None
-    f1, f2 = popt[0], popt[1]
-    e1 = math.sqrt(max(pcov[0, 0], 0.0))
-    e2 = math.sqrt(max(pcov[1, 1], 0.0))
+        cov = 2.0 * sol.cost / (len(f) - len(p0)) * np.linalg.inv(sol.jac.T @ sol.jac)
+    except np.linalg.LinAlgError:
+        raise FitDiverged("singular dip-fit covariance") from None
+    errs = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    if merged:
+        f0 = float(sol.x[0])
+        return ResonancePair(f0, f0, float(errs[0]), float(errs[0]), merged=True)
+    f1, f2 = sol.x[:2]
+    e1, e2 = errs[:2]
     if f2 < f1:
         f1, f2, e1, e2 = f2, f1, e2, e1
-    return ResonancePair(float(f1), float(f2), e1, e2)
+    return ResonancePair(float(f1), float(f2), float(e1), float(e2))
 
 
 def nv_frame_rotation(p: NVParams) -> np.ndarray:

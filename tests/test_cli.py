@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -89,7 +92,7 @@ def test_scan_si_units(tmp_path):
     assert float(rows[0]["Bx_T"]) < 0.1  # tesla, not millitesla
 
 
-def test_calibrate_round_trip(tmp_path):
+def _write_calibration_csv(path):
     spec = default_magnet_spec()
     rng = np.random.default_rng(0)
     rows = []
@@ -102,11 +105,15 @@ def test_calibrate_round_trip(tmp_path):
             )
             B = cylinder_field(spec, pose.position, pose.axis, SAMPLE) * 1e3
             rows.append((ay, az, mass, B[0], B[1], B[2]))
-    path = tmp_path / "cal.csv"
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["alpha_y_deg", "alpha_z_deg", "mass_index", "Bx_mT", "By_mT", "Bz_mT"])
         w.writerows(rows)
+
+
+def test_calibrate_round_trip(tmp_path):
+    path = tmp_path / "cal.csv"
+    _write_calibration_csv(path)
     out = tmp_path / "cal.json"
     rc = main(["calibrate", "--input", str(path), "--standoff-m", str(STANDOFF),
                "--out", str(out)])
@@ -267,13 +274,25 @@ SCHEDULE = ["schedule", "--b-start", "0.5", "--b-stop", "10", "--steps", "3"]
     ["odmr", "--d-GHz", "0"],
     ["odmr", "--pi-MHz", "-1"],
     ["odmr", "--gamma-GHz-per-T", "0"],
+    ["--seed", "-1", "odmr", "--points", "11"],
 ], ids=["scan-steps-0", "schedule-steps-0", "odmr-points-0", "schedule-resolution-0",
         "odmr-linewidth-0", "scan-standoff-nan", "schedule-ay-nan", "schedule-b-stop-inf",
         "odmr-bz-nan", "scan-standoff-in-magnet", "replace-standoff-in-magnet",
-        "odmr-depth-1.5", "odmr-depth-0", "odmr-d-0", "odmr-pi-negative", "odmr-gamma-0"])
+        "odmr-depth-1.5", "odmr-depth-0", "odmr-d-0", "odmr-pi-negative", "odmr-gamma-0",
+        "seed-negative"])
 def test_out_of_range_argument_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "artefact"
     assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
+def test_negative_config_seed_exit_2(tmp_path, capsys):
+    config = tmp_path / "negative-seed.yaml"
+    config.write_text("seed: -1\n")
+    out = tmp_path / "artefact"
+    assert main(["--config", str(config), "odmr", "--points", "11", "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()
@@ -285,3 +304,22 @@ def test_unknown_units_exit_2():
               "--ay-steps", "1", "--az-start", "0", "--az-stop", "0",
               "--az-steps", "1"])
     assert exc.value.code == 2
+
+
+def test_fits_import_no_scipy(tmp_path):
+    cal, traj = tmp_path / "cal.csv", tmp_path / "traj.csv"
+    _write_calibration_csv(cal)
+    _write_trajectory_csv(traj, [75.0, 95.0, 115.0, 135.0, 85.0, 125.0],
+                          list(np.linspace(52.0, 77.0, 6)))
+    script = (
+        "import sys\n"
+        "from fieldarm.cli import main\n"
+        f"assert main(['calibrate', '--input', {str(cal)!r}, '--out', {str(tmp_path / 'c')!r}]) == 0\n"
+        f"assert main(['fit-nv', '--input', {str(traj)!r}, '--out', {str(tmp_path / 'f')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"

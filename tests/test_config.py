@@ -114,3 +114,5 @@ def test_seed_must_be_integer():
         config_from_dict({"seed": "abc"})
     with pytest.raises(ConfigError, match="seed"):
         config_from_dict({"seed": True})
+    with pytest.raises(ConfigError, match="non-negative"):
+        config_from_dict({"seed": -1})

@@ -3,7 +3,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fieldarm.config import load_config
@@ -141,6 +141,8 @@ def test_ik_round_trip_on_fk_targets():
 
 @pytest.mark.parametrize("name", sorted(BUNDLED_TABLES))
 @given(u=UNIT6)
+# q1 and q2 on their lower limits, the wrist centre 0.3 mm from the base axis
+@example(u=np.array([0.0, 0.0, 0.37890625, 0.0, 0.0, 0.0]))
 @settings(max_examples=200, deadline=None)
 def test_ik_branches_reach_fk_targets_within_limits(name, u):
     dh = BUNDLED_TABLES[name]

@@ -18,7 +18,6 @@ from fieldarm.nvspin import (
     normalize_splittings,
     nv_frame_rotation,
     odmr_spectrum,
-    polar_angle_from_resonances,
     resonances,
     resonances_from_cubic,
     splitting_from_cubic,
@@ -81,14 +80,6 @@ def test_splitting_monotone_in_field_when_aligned():
     betas = GAMMA_E_DEFAULT * np.linspace(0.0, 10e-3, 30)
     nus = splitting_from_cubic(D_ANCHOR, PI_ANCHOR, betas, 0.0)
     assert np.all(np.diff(nus) >= -1e-6)
-
-
-def test_polar_angle_inversion_round_trip():
-    for B, theta in [(3e-3, np.deg2rad(61.0)), (1e-3, 0.3), (8e-3, 1.2)]:
-        fm, fp = resonances_from_cubic(D_ANCHOR, PI_ANCHOR, GAMMA_E_DEFAULT * B, theta)
-        sol = polar_angle_from_resonances(fm, fp, D_ANCHOR, PI_ANCHOR)
-        assert math.isclose(sol["B_magnitude"], B, rel_tol=1e-6)
-        assert math.isclose(sol["theta"], theta, abs_tol=1e-6)
 
 
 @given(st.lists(st.floats(0.1, 10.0), min_size=2, max_size=8))
@@ -168,6 +159,12 @@ def test_odmr_noisy_fit_within_uncertainty():
     fitted = fit_resonances(spectrum)
     assert abs(fitted.f_minus - pair.f_minus) < 3 * max(fitted.f_minus_err, 1e4)
     assert abs(fitted.f_plus - pair.f_plus) < 3 * max(fitted.f_plus_err, 1e4)
+
+
+def test_fit_resonances_needs_more_points_than_parameters():
+    spectrum = OdmrSpectrum(np.linspace(2.80e9, 2.95e9, 4), [1.0, 0.98, 0.98, 1.0])
+    with pytest.raises(InsufficientData):
+        fit_resonances(spectrum)
 
 
 def test_odmr_merged_dips_flag():
