@@ -4,12 +4,13 @@ metric, and replacement of collision-forbidden poses via the inverse dipole
 problem.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .environment import FeasibilityStatus, build_trees, pose_feasibility
+from .environment import FeasibilityStatus, build_trees, feasibility_batch, pose_feasibility
 from .errors import (
     FinalPoseForbidden,
     InsufficientData,
@@ -21,6 +22,7 @@ from .errors import (
 from .kinematics import (
     Pose,
     angles_for_direction,
+    has_spherical_wrist,
     magnet_pose_for_field_direction,
     quantize_position,
     unit_normal,
@@ -196,6 +198,7 @@ def similarity(B1, B2, d_mT=SIMILARITY_SCALE_MT) -> float:
 
 
 FAR_FIELD_DIAMETERS = 8.0
+REPLACE_CHUNK = 16  # displacement candidates per feasibility_batch call
 
 
 def replace_forbidden_pose(forbidden: Pose, sample, spec: MagnetSpec, env, dh,
@@ -209,8 +212,11 @@ def replace_forbidden_pose(forbidden: Pose, sample, spec: MagnetSpec, env, dh,
     moment for the new displacement so the field direction is recovered;
     (iv) slide the magnet along the magnet-sample ray (cube-root initial
     guess, then bisection on the cylinder model) to recover the magnitude.
-    A pose counts as reachable when pose_feasibility says so; `seed` is the
-    first IK seed and `rng` drives its DLS fallback (see pose_feasibility).
+    A pose counts as reachable when feasibility_batch says so; `seed` is the
+    first IK seed and `rng` drives its DLS fallback. The displacement
+    candidates, in (step, sign) order, are checked REPLACE_CHUNK at a time;
+    a table without a spherical wrist checks them one at a time, since its
+    DLS search depends on the IK seed that each check passes on.
     """
     if displacement_axis not in ("y", "z"):
         raise ValueError("displacement_axis must be 'y' or 'z'")
@@ -218,11 +224,13 @@ def replace_forbidden_pose(forbidden: Pose, sample, spec: MagnetSpec, env, dh,
     trees = build_trees(env)
     state = {"seed": dh.home() if seed is None else np.asarray(seed, dtype=float)}
 
-    def feasible(pose):
-        result = pose_feasibility(pose, dh, env, state["seed"], trees, rng)
+    def reachable(result):
         if result.joints is not None:
             state["seed"] = result.joints
         return result.status is FeasibilityStatus.REACHABLE
+
+    def feasible(pose):
+        return reachable(pose_feasibility(pose, dh, env, state["seed"], trees, rng))
 
     target = cylinder_field(spec, forbidden.position, forbidden.axis, sample)
     target_mag = float(np.linalg.norm(target))
@@ -275,11 +283,16 @@ def replace_forbidden_pose(forbidden: Pose, sample, spec: MagnetSpec, env, dh,
             similarity=similarity(target, achieved), far_field_ok=far_field_ok,
         )
 
+    chunk = REPLACE_CHUNK if has_spherical_wrist(dh) else 1
+    steps = ((n, sign) for n in range(1, max_steps + 1) for sign in (1.0, -1.0))
     found_displacement = False
-    for n in range(1, max_steps + 1):
-        for sign in (1.0, -1.0):
-            candidate = forbidden.with_position(forbidden.position + sign * n * search_step * axis)
-            if not feasible(candidate):
+    while batch := list(itertools.islice(steps, chunk)):
+        candidates = [forbidden.with_position(forbidden.position + sign * n * search_step * axis)
+                      for n, sign in batch]
+        results = feasibility_batch(candidates, dh, env, state["seed"], trees,
+                                    [rng] * len(candidates))
+        for candidate, result in zip(candidates, results):
+            if not reachable(result):
                 continue
             found_displacement = True
             plan = plan_for(candidate)

@@ -42,9 +42,9 @@ from .nvspin import (
 )
 
 _USAGE_ERRORS = (ConfigError, ParseError, InsufficientData, UsageError)
-_STEP_COUNTS = ("ay_steps", "az_steps", "steps", "points")
-_POSITIVE = ("resolution_m", "linewidth_MHz", "d_GHz", "gamma_GHz_per_T")
-_NON_NEGATIVE = ("pi_MHz", "seed")
+_STEP_COUNTS = ("ay_steps", "az_steps", "steps", "points", "max_steps")
+_POSITIVE = ("resolution_m", "linewidth_MHz", "d_GHz", "gamma_GHz_per_T", "step_m")
+_NON_NEGATIVE = ("pi_MHz", "seed", "noise")
 
 
 def _fmt(x) -> str:
@@ -347,10 +347,11 @@ def cmd_fit_nv(args, config: RunConfig, units: Units) -> int:
 def _check_args(args, config: RunConfig):
     """Reject command-line values no command can work with, before any work.
 
-    Every float must be finite, step counts at least 1, the resolution,
-    linewidth, zero-field splitting and gyromagnetic ratio positive, the
-    strain term and the seed non-negative, the dip depth in (0, 1), and the
-    standoff must put the sample beyond the magnet's end face.
+    Every float must be finite, step counts (and replace's --max-steps) at
+    least 1, the resolution, linewidth, zero-field splitting, gyromagnetic
+    ratio and replace's --step-m positive, the strain term, the noise and
+    the seed non-negative, the dip depth in (0, 1), and the standoff must
+    put the sample beyond the magnet's end face.
     """
     for name, value in sorted(vars(args).items()):
         flag = "--" + name.replace("_", "-")

@@ -1,9 +1,13 @@
 """Triangle-mesh environment, robot-body collision checks, pose partitioning.
 
 The robot body is approximated by one capsule per link (spanning consecutive
-joint-frame origins) plus one for the magnet tool. Collision queries run a
-broad phase over an axis-aligned bounding-box tree and a narrow phase of
-exact segment-triangle distances.
+joint-frame origins) plus one for the magnet tool. Each mesh is stored flat:
+its triangles and their axis-aligned bounding boxes (AABBs). A query tests
+every capsule's AABB, grown by its radius, against every triangle's in one
+array operation (the broad phase), then runs Ericson's exact
+segment-triangle distance (Real-Time Collision Detection, 2005, ch. 5) on
+the surviving pairs only. Feasibility is decided for a batch of poses at
+once: every IK branch of every pose, every capsule of every branch.
 """
 
 import enum
@@ -11,17 +15,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometry, EndpointInCollision, NoSolution, ParseError
+from .errors import DegenerateGeometry, NoSolution, ParseError
 from .kinematics import (
     DHTable,
     Pose,
     frame_chain,
     has_spherical_wrist,
-    ik_branches,
+    ik_branch_array,
     inverse_kinematics,
 )
 
 _MIN_TRIANGLE_AREA = 1e-12  # m^2
+_EPS = 1e-18                # squared lengths and products below this count as zero
+
+# Work sizes; peak memory follows these, not the number of poses or triangles.
+POSE_CHUNK = 64                # poses per batched feasibility pass
+BROAD_PHASE_CELLS = 1 << 20    # (segment, triangle) AABB tests per broad-phase block
+PAIR_CHUNK = 1 << 13           # segment-triangle pairs per narrow-phase kernel call
 
 
 @dataclass(frozen=True)
@@ -139,170 +149,154 @@ def load_mesh(path) -> TriangleMesh:
 
 
 # ---------------------------------------------------------------------------
-# distance primitives
+# distance primitives: Ericson, Real-Time Collision Detection (2005), ch. 5,
+# broadcast over leading axes of (..., 3) points
+
+def _dot(u, v):
+    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
+
+
+def _norm(u):
+    return np.sqrt(_dot(u, u))
+
+
+def _over(num, den, valid):
+    """num / den where valid, 0 elsewhere, without dividing by a zero."""
+    return np.where(valid, num, 0.0) / np.where(valid, den, 1.0)
+
 
 def _point_triangle_closest(p, a, b, c):
-    """Closest point on triangle abc to p (Ericson, Real-Time Collision Detection)."""
+    """Closest point on triangle abc to p (Ericson 5.1.5).
+
+    The Voronoi regions are tested in Ericson's order (vertex a, vertex b,
+    edge ab, vertex c, edge ac, edge bc, face); the first that holds wins.
+    """
     ab = b - a
     ac = c - a
     ap = p - a
-    d1 = ab @ ap
-    d2 = ac @ ap
-    if d1 <= 0 and d2 <= 0:
-        return a
     bp = p - b
-    d3 = ab @ bp
-    d4 = ac @ bp
-    if d3 >= 0 and d4 <= d3:
-        return b
-    vc = d1 * d4 - d3 * d2
-    if vc <= 0 and d1 >= 0 and d3 <= 0:
-        v = d1 / (d1 - d3)
-        return a + v * ab
     cp = p - c
-    d5 = ab @ cp
-    d6 = ac @ cp
-    if d6 >= 0 and d5 <= d6:
-        return c
+    d1, d2 = _dot(ab, ap), _dot(ac, ap)
+    d3, d4 = _dot(ab, bp), _dot(ac, bp)
+    d5, d6 = _dot(ab, cp), _dot(ac, cp)
+    vc = d1 * d4 - d3 * d2
     vb = d5 * d2 - d1 * d6
-    if vb <= 0 and d2 >= 0 and d6 <= 0:
-        w = d2 / (d2 - d6)
-        return a + w * ac
     va = d3 * d6 - d5 * d4
-    if va <= 0 and (d4 - d3) >= 0 and (d5 - d6) >= 0:
-        w = (d4 - d3) / ((d4 - d3) + (d5 - d6))
-        return b + w * (c - b)
-    denom = 1.0 / (va + vb + vc)
-    v = vb * denom
-    w = vc * denom
-    return a + ab * v + ac * w
+    on_ab = (vc <= 0) & (d1 >= 0) & (d3 <= 0)
+    on_ac = (vb <= 0) & (d2 >= 0) & (d6 <= 0)
+    on_bc = (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0)
+    regions = [(d1 <= 0) & (d2 <= 0), (d3 >= 0) & (d4 <= d3), on_ab,
+               (d6 >= 0) & (d5 <= d6), on_ac, on_bc]
+    v_ab = _over(d1, d1 - d3, on_ab)[..., None]
+    w_ac = _over(d2, d2 - d6, on_ac)[..., None]
+    w_bc = _over(d4 - d3, (d4 - d3) + (d5 - d6), on_bc)[..., None]
+    face = va + vb + vc
+    inside = face != 0
+    v = _over(vb, face, inside)[..., None]
+    w = _over(vc, face, inside)[..., None]
+    points = [a, b, a + v_ab * ab, c, a + w_ac * ac, b + w_bc * (c - b)]
+    return np.select([r[..., None] for r in regions], points, a + ab * v + ac * w)
 
 
 def _segment_segment_distance(p1, q1, p2, q2):
+    """Distance between segments p1q1 and p2q2 (Ericson 5.1.9)."""
     d1 = q1 - p1
     d2 = q2 - p2
     r = p1 - p2
-    a = d1 @ d1
-    e = d2 @ d2
-    f = d2 @ r
-    if a <= 1e-18 and e <= 1e-18:
-        return float(np.linalg.norm(r))
-    if a <= 1e-18:
-        s = 0.0
-        t = np.clip(f / e, 0.0, 1.0)
-    else:
-        c = d1 @ r
-        if e <= 1e-18:
-            t = 0.0
-            s = np.clip(-c / a, 0.0, 1.0)
-        else:
-            b = d1 @ d2
-            denom = a * e - b * b
-            s = np.clip((b * f - c * e) / denom, 0.0, 1.0) if denom > 1e-18 else 0.0
-            t = (b * s + f) / e
-            if t < 0.0:
-                t = 0.0
-                s = np.clip(-c / a, 0.0, 1.0)
-            elif t > 1.0:
-                t = 1.0
-                s = np.clip((b - c) / a, 0.0, 1.0)
-    return float(np.linalg.norm(p1 + d1 * s - (p2 + d2 * t)))
+    a, e = _dot(d1, d1), _dot(d2, d2)
+    b, c, f = _dot(d1, d2), _dot(d1, r), _dot(d2, r)
+    point1, point2 = a <= _EPS, e <= _EPS
+    denom = a * e - b * b
+    s = np.clip(_over(b * f - c * e, denom, denom > _EPS), 0.0, 1.0)
+    t = _over(b * s + f, e, ~point2)
+    # t outside [0, 1]: clamp it and recompute s for the clamped end
+    s = np.where(t < 0.0, np.clip(_over(-c, a, ~point1), 0.0, 1.0),
+                 np.where(t > 1.0, np.clip(_over(b - c, a, ~point1), 0.0, 1.0), s))
+    t = np.clip(t, 0.0, 1.0)
+    # a segment of (near) zero length is its start point
+    s = np.where(point2, np.clip(_over(-c, a, ~point1), 0.0, 1.0), s)
+    t = np.where(point2, 0.0, t)
+    t = np.where(point1, np.clip(_over(f, e, ~point2), 0.0, 1.0), t)
+    s = np.where(point1, 0.0, s)
+    return _norm(p1 + d1 * s[..., None] - (p2 + d2 * t[..., None]))
 
 
-def segment_triangle_distance(p, q, a, b, c) -> float:
-    """Exact minimum distance between segment pq and triangle abc (0 if they meet)."""
+def segment_triangle_distance(p, q, a, b, c):
+    """Exact minimum distance between segments pq and triangles abc (0 where they meet).
+
+    All five arguments are (..., 3) and broadcast; returns (...). A segment
+    that crosses the triangle's plane inside the triangle is at 0; otherwise
+    the minimum is at an end point against the face or between the segment
+    and an edge. A zero-length segment is a point. The crossing point is
+    inside when it lies on the inner side of all three edges: a sign test,
+    so a thin triangle does not turn a crossing into a miss.
+    """
+    p, q, a, b, c = (np.asarray(x, dtype=float) for x in (p, q, a, b, c))
     n = np.cross(b - a, c - a)
-    nn = np.linalg.norm(n)
-    if nn > 1e-18:
-        n = n / nn
-        sp = (p - a) @ n
-        sq = (q - a) @ n
-        if sp * sq <= 0 and abs(sp - sq) > 1e-18:
-            t = sp / (sp - sq)
-            x = p + t * (q - p)
-            closest = _point_triangle_closest(x, a, b, c)
-            if np.linalg.norm(closest - x) <= 1e-12:
-                return 0.0
-    d = min(
-        float(np.linalg.norm(_point_triangle_closest(p, a, b, c) - p)),
-        float(np.linalg.norm(_point_triangle_closest(q, a, b, c) - q)),
+    nn = _norm(n)
+    flat = nn > _EPS
+    n = n / np.where(flat, nn, 1.0)[..., None]
+    sp = _dot(p - a, n)
+    sq = _dot(q - a, n)
+    meets = flat & (sp * sq <= 0) & (np.abs(sp - sq) > _EPS)
+    x = p + _over(sp, sp - sq, meets)[..., None] * (q - p)
+    for u, v in ((a, b), (b, c), (c, a)):
+        meets &= _dot(np.cross(v - u, x - u), n) >= 0.0
+    d = np.minimum.reduce([
+        _norm(_point_triangle_closest(p, a, b, c) - p),
+        _norm(_point_triangle_closest(q, a, b, c) - q),
         _segment_segment_distance(p, q, a, b),
         _segment_segment_distance(p, q, b, c),
         _segment_segment_distance(p, q, c, a),
-    )
-    return d
+    ])
+    return np.where(meets, 0.0, d)
 
 
 # ---------------------------------------------------------------------------
-# AABB tree broad phase
-
-class _AabbNode:
-    __slots__ = ("lo", "hi", "left", "right", "tri_ids")
-
-    def __init__(self, lo, hi, left=None, right=None, tri_ids=None):
-        self.lo = lo
-        self.hi = hi
-        self.left = left
-        self.right = right
-        self.tri_ids = tri_ids
-
+# flat AABB broad phase
 
 class AabbTree:
-    """Static axis-aligned bounding-box tree over a triangle soup."""
+    """Axis-aligned bounding boxes of one mesh's triangles, stored flat.
 
-    LEAF_SIZE = 4
+    There is no hierarchy: one array comparison of every query box against
+    every triangle box costs less in numpy than walking a tree per query.
+    """
 
     def __init__(self, mesh: TriangleMesh):
         self.mesh = mesh
-        tris = mesh.vertices[mesh.triangles]        # (M, 3, 3)
-        self._tri_lo = tris.min(axis=1)
-        self._tri_hi = tris.max(axis=1)
-        self._tris = tris
-        self.root = self._build(np.arange(len(mesh.triangles)))
+        self.triangles = mesh.vertices[mesh.triangles]   # (M, 3, 3)
+        # (3, M), one contiguous row per axis for the broad phase's comparisons
+        self.lo = np.ascontiguousarray(self.triangles.min(axis=1).T)
+        self.hi = np.ascontiguousarray(self.triangles.max(axis=1).T)
 
-    def _build(self, ids):
-        lo = self._tri_lo[ids].min(axis=0)
-        hi = self._tri_hi[ids].max(axis=0)
-        if len(ids) <= self.LEAF_SIZE:
-            return _AabbNode(lo, hi, tri_ids=ids)
-        centers = (self._tri_lo[ids] + self._tri_hi[ids]) / 2.0
-        axis = int(np.argmax(hi - lo))
-        order = np.argsort(centers[:, axis])
-        half = len(ids) // 2
-        return _AabbNode(
-            lo, hi,
-            left=self._build(ids[order[:half]]),
-            right=self._build(ids[order[half:]]),
-        )
+    def segment_distance(self, p, q, upper_bound=np.inf):
+        """Min distance from each segment pq to the mesh, capped at upper_bound.
 
-    @staticmethod
-    def _aabb_segment_lower_bound(lo, hi, p, q):
-        # distance from the box to the segment's own AABB: a valid lower bound
-        slo = np.minimum(p, q)
-        shi = np.maximum(p, q)
-        gap = np.maximum(0.0, np.maximum(lo - shi, slo - hi))
-        return float(np.linalg.norm(gap))
-
-    def segment_distance(self, p, q, upper_bound=np.inf) -> float:
-        """Min distance from segment pq to the mesh; early-out below upper_bound."""
-        best = upper_bound
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if self._aabb_segment_lower_bound(node.lo, node.hi, p, q) >= best:
-                continue
-            if node.tri_ids is not None:
-                for i in node.tri_ids:
-                    a, b, c = self._tris[i]
-                    d = segment_triangle_distance(p, q, a, b, c)
-                    if d < best:
-                        best = d
-                        if best == 0.0:
-                            return 0.0
-            else:
-                stack.append(node.left)
-                stack.append(node.right)
-        return best
+        p, q (..., 3) and upper_bound (...) broadcast; returns (...). A
+        triangle whose box is farther than the bound from the segment's box
+        along some axis cannot come closer than the bound, so only the
+        others reach segment_triangle_distance.
+        """
+        shape = np.broadcast_shapes(np.shape(p)[:-1], np.shape(q)[:-1], np.shape(upper_bound))
+        p, q = (np.broadcast_to(np.asarray(x, dtype=float), shape + (3,)).reshape(-1, 3)
+                for x in (p, q))
+        best = np.array(np.broadcast_to(upper_bound, shape), dtype=float).reshape(-1)
+        lo = np.minimum(p, q) - best[:, None]
+        hi = np.maximum(p, q) + best[:, None]
+        block = max(1, BROAD_PHASE_CELLS // max(1, len(self.triangles)))
+        for start in range(0, len(p), block):
+            rows = slice(start, start + block)
+            near = np.ones((len(p[rows]), len(self.triangles)), dtype=bool)
+            for k in range(3):
+                near &= self.lo[k] <= hi[rows, k, None]
+                near &= self.hi[k] >= lo[rows, k, None]
+            seg, tri = np.nonzero(near)
+            seg += start
+            for s in range(0, len(seg), PAIR_CHUNK):
+                i, t = seg[s:s + PAIR_CHUNK], self.triangles[tri[s:s + PAIR_CHUNK]]
+                d = segment_triangle_distance(p[i], q[i], t[:, 0], t[:, 1], t[:, 2])
+                np.minimum.at(best, i, d)
+        return best.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -332,131 +326,157 @@ def build_trees(env: list[TriangleMesh]) -> list[AabbTree]:
     return [AabbTree(m) for m in env]
 
 
-def segment_collides(trees, p, q, radius) -> bool:
+def _capsules(dh: DHTable, q) -> np.ndarray:
+    """Capsule axes (..., 7, 2, 3) of configurations q (..., 6): capsule i
+    spans the origins of frames i and i + 1 (base, six joints, TCP)."""
+    origins = frame_chain(dh, q)[..., :3, 3]
+    return np.stack([origins[..., :-1, :], origins[..., 1:, :]], axis=-2)
+
+
+def _capsule_hits(segments, radii, trees) -> np.ndarray:
+    """Whether each capsule (axes (K, 2, 3), radii (K,)) meets some mesh."""
+    hit = np.zeros(len(radii), dtype=bool)
     for tree in trees:
-        if tree.segment_distance(p, q, upper_bound=radius * 1.0000001) - radius <= 0.0:
-            return True
-    return False
+        d = tree.segment_distance(segments[:, 0], segments[:, 1], radii * 1.0000001)
+        hit |= d - radii <= 0.0
+    return hit
 
 
 def check_collision(dh: DHTable, joints, env, trees=None) -> CollisionResult:
     """Capsule-vs-mesh collision query for one joint configuration.
 
-    Capsule i spans the origins of frames i and i+1 of the frame chain
-    (base, six joints, TCP) with radius dh.link_radii[i].
+    min_distance is the smallest gap between a capsule surface and a mesh,
+    0 when they touch.
     """
     dh.check_limits(joints)
     if not env:
         return CollisionResult(clear=True, min_distance=None)
     if trees is None:
         trees = build_trees(env)
-    best = np.inf
-    origins = [f[:3, 3] for f in frame_chain(dh, joints)]
-    for p, q, radius in zip(origins, origins[1:], dh.link_radii):
-        for tree in trees:
-            d = tree.segment_distance(p, q, upper_bound=best + radius)
-            best = min(best, d - radius)
-            if best <= 0.0:
-                return CollisionResult(clear=False, min_distance=0.0)
-    return CollisionResult(clear=True, min_distance=float(best))
+    axes = _capsules(dh, joints)
+    gap = min(float(np.min(tree.segment_distance(axes[:, 0], axes[:, 1]) - dh.link_radii))
+              for tree in trees)
+    if gap <= 0.0:
+        return CollisionResult(clear=False, min_distance=0.0)
+    return CollisionResult(clear=True, min_distance=gap)
 
 
-DEFAULT_PATH_STEP = 0.01  # rad per joint
+def _branch_verdicts(poses, dh, trees):
+    """IK branches (N, 8, 6) of a chunk of poses, the mask of those that exist,
+    and the mask of those whose every capsule clears the environment.
+
+    A capsule that several branches of one pose share (the wrist and tool
+    follow from the pose alone; wrist flips share the arm) is checked once:
+    capsules count as one when their end points agree to 1e-9 m.
+    """
+    q, ok = ik_branch_array(dh, np.array([pose.matrix() for pose in poses]))
+    clear = ok.copy()
+    if not trees or not ok.any():
+        return q, ok, clear
+    pose_of, _ = np.nonzero(ok)
+    axes = _capsules(dh, q[ok]).reshape(-1, 2, 3)
+    n_links = len(dh.link_radii)
+    keys = np.column_stack([np.repeat(pose_of, n_links), np.tile(np.arange(n_links), len(pose_of)),
+                            np.round(axes.reshape(-1, 6), 9)])
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    radii = np.tile(dh.link_radii, len(pose_of))
+    hits = _capsule_hits(axes[first], radii[first], trees)[inverse.reshape(-1)]
+    clear[ok] = ~hits.reshape(-1, n_links).any(axis=1)
+    return q, ok, clear
 
 
-def path_feasible(dh, j_start, j_end, env, step=DEFAULT_PATH_STEP, trees=None) -> bool:
-    """Joint-space straight-line path check at max per-joint step `step`."""
-    j_start = np.asarray(j_start, dtype=float)
-    j_end = np.asarray(j_end, dtype=float)
-    if trees is None:
-        trees = build_trees(env)
-    for j in (j_start, j_end):
-        if not check_collision(dh, j, env, trees).clear:
-            raise EndpointInCollision("path endpoint is in collision")
-    n = int(np.ceil(np.max(np.abs(j_end - j_start)) / step)) if step > 0 else 1
-    for k in range(1, n):
-        j = j_start + (j_end - j_start) * (k / n)
-        if not check_collision(dh, j, env, trees).clear:
-            return False
-    return True
+def _pick_branch(pose, branches, clear, seed) -> PoseFeasibility:
+    """Reachable with the clear branch nearest `seed`, else Collision with
+    the nearest branch, else IkFailure."""
+    order = sorted(range(len(branches)), key=lambda j: float(np.linalg.norm(branches[j] - seed)))
+    if not order:
+        return PoseFeasibility(pose, FeasibilityStatus.IK_FAILURE, None)
+    for j in order:
+        if clear[j]:
+            return PoseFeasibility(pose, FeasibilityStatus.REACHABLE, branches[j])
+    return PoseFeasibility(pose, FeasibilityStatus.COLLISION, branches[order[0]])
 
 
 DLS_BRANCHES = 6    # DLS solves per pose when no closed form applies
 DLS_RESTARTS = 10   # random restarts per DLS solve
 
 
-def _ik_candidates(pose, dh, seed, rng):
-    """IK solutions of a pose, one at a time.
+def _dls_feasibility(pose, dh, trees, seed, rng) -> PoseFeasibility:
+    """Feasibility of one pose for a table without a spherical wrist.
 
-    A spherical-wrist table gives every branch (ik_branches), nearest
-    `seed` first. Any other table gives up to DLS_BRANCHES damped
-    least-squares solutions, from `seed` and then from uniform draws of
-    `rng`, stopping at the first solve that fails.
+    Up to DLS_BRANCHES damped least-squares solutions, from `seed` and then
+    from uniform draws of `rng`, stopping at the first solve that fails.
+    Reachable with the first solution that clears the environment,
+    Collision with the first one if all collide, IkFailure if there is none.
     """
-    seed = np.asarray(seed, dtype=float)
-    if has_spherical_wrist(dh):
-        yield from sorted(ik_branches(dh, pose), key=lambda q: float(np.linalg.norm(q - seed)))
-        return
     rng = np.random.default_rng(0 if rng is None else rng)
+    first = None
     for _ in range(DLS_BRANCHES):
         try:
             q = inverse_kinematics(dh, pose, seed=seed, rng=rng, restarts=DLS_RESTARTS)
         except NoSolution:
-            return
-        yield q
-        seed = rng.uniform(dh.q_min, dh.q_max)
-
-
-def pose_feasibility(pose, dh, env, seed, trees=None, rng=None):
-    """IK then collision check for a single pose.
-
-    Reachable if some IK solution clears the environment (the first one
-    found, nearest `seed` first), Collision if every solution collides,
-    IkFailure if there is none. For a spherical-wrist table the solutions
-    are every IK branch, so Collision is proof. Capsules are checked from
-    the tool inward, and a capsule that an earlier solution shares (the
-    wrist and tool follow from the pose alone; wrist flips share the arm)
-    is not checked again: at most 3 + 4 x 4 capsule queries per pose.
-    `rng` (a Generator, or a seed for np.random.default_rng) drives the
-    sampled DLS solutions of any other table.
-    """
-    if trees is None:
-        trees = build_trees(env)
-    hits = {}
-    first = None
-    for q in _ik_candidates(pose, dh, seed, rng):
+            break
         if first is None:
             first = q
-        origins = [f[:3, 3] for f in frame_chain(dh, q)]
-        for i in reversed(range(len(dh.link_radii))):
-            key = (i, tuple(np.round(np.concatenate(origins[i:i + 2]), 9)))
-            if key not in hits:
-                hits[key] = segment_collides(trees, origins[i], origins[i + 1], dh.link_radii[i])
-            if hits[key]:
-                break
-        else:
+        if not trees or not _capsule_hits(_capsules(dh, q), dh.link_radii, trees).any():
             return PoseFeasibility(pose, FeasibilityStatus.REACHABLE, q)
+        seed = rng.uniform(dh.q_min, dh.q_max)
     if first is None:
         return PoseFeasibility(pose, FeasibilityStatus.IK_FAILURE, None)
     return PoseFeasibility(pose, FeasibilityStatus.COLLISION, first)
 
 
+def feasibility_batch(poses, dh, env, seed, trees=None, rngs=None) -> list[PoseFeasibility]:
+    """IK then collision check for a sequence of poses, in input order.
+
+    Reachable if some IK solution clears the environment, Collision if every
+    solution collides, IkFailure if there is none. For a spherical-wrist
+    table the solutions are every IK branch, so Collision is proof; the
+    branches and capsules of POSE_CHUNK poses at a time are checked in one
+    array pass, and a Reachable pose gets the clear branch nearest the
+    running seed (a Collision pose the nearest branch). The running seed
+    starts at `seed` and becomes each pose's joints in turn, mirroring a
+    meander scan's locality. Any other table runs the seeded DLS search of
+    _dls_feasibility pose by pose, pose i drawing from rngs[i] (a Generator,
+    or a seed for np.random.default_rng; default 0).
+    """
+    if trees is None:
+        trees = build_trees(env)
+    if rngs is None:
+        rngs = [None] * len(poses)
+    seed = np.asarray(seed, dtype=float)
+    spherical = has_spherical_wrist(dh)
+    out = []
+    for start in range(0, len(poses), POSE_CHUNK):
+        chunk = poses[start:start + POSE_CHUNK]
+        if spherical:
+            q, ok, clear = _branch_verdicts(chunk, dh, trees)
+        for i, pose in enumerate(chunk):
+            if spherical:
+                result = _pick_branch(pose, q[i][ok[i]], clear[i][ok[i]], seed)
+            else:
+                result = _dls_feasibility(pose, dh, trees, seed, rngs[start + i])
+            if result.joints is not None:
+                seed = result.joints
+            out.append(result)
+    return out
+
+
+def pose_feasibility(pose, dh, env, seed, trees=None, rng=None) -> PoseFeasibility:
+    """feasibility_batch for one pose."""
+    return feasibility_batch([pose], dh, env, seed, trees, [rng])[0]
+
+
 def partition_pose_dictionary(poses, dh, env, seed=None, random_seed=0) -> list[PoseFeasibility]:
     """Classify each pose as Reachable / IkFailure / Collision, in input order.
 
-    The IK seed for each pose is the previous pose's solution, mirroring a
-    meander scan's locality. Pose i's DLS fallback (tables without a
+    One feasibility_batch over all poses; the first IK seed is `seed` (the
+    home configuration by default). Pose i's DLS fallback (tables without a
     spherical wrist) draws from np.random.default_rng([random_seed, i]);
     deterministic for fixed inputs.
     """
+    poses = list(poses)
     if seed is None:
         seed = dh.home()
-    trees = build_trees(env)
-    out = []
-    current_seed = np.asarray(seed, dtype=float)
-    for i, pose in enumerate(poses):
-        result = pose_feasibility(pose, dh, env, current_seed, trees, [random_seed, i])
-        if result.joints is not None:
-            current_seed = result.joints
-        out.append(result)
-    return out
+    return feasibility_batch(poses, dh, env, seed,
+                             rngs=[[random_seed, i] for i in range(len(poses))])

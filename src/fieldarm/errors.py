@@ -46,10 +46,6 @@ class DegenerateGeometry(FieldArmError):
     """Mesh contains a degenerate (zero-area) triangle."""
 
 
-class EndpointInCollision(FieldArmError):
-    """Path check called with a colliding endpoint."""
-
-
 class InsufficientData(FieldArmError):
     """Fit called with fewer samples than free parameters allow."""
 

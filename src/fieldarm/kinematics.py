@@ -123,35 +123,43 @@ def default_dh_table() -> DHTable:
     )
 
 
-def dh_transform(a: float, alpha: float, d: float, theta: float) -> np.ndarray:
-    ct, st = np.cos(theta), np.sin(theta)
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    return np.array(
-        [
-            [ct, -st * ca, st * sa, a * ct],
-            [st, ct * ca, -ct * sa, a * st],
-            [0.0, sa, ca, d],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
+def frame_chain(dh: DHTable, q: np.ndarray) -> np.ndarray:
+    """All cumulative frames of joint configurations q (..., 6): base, joints
+    1..6 and the TCP, as a (..., 8, 4, 4) array (one q gives (8, 4, 4)).
 
-
-def frame_chain(dh: DHTable, q: np.ndarray) -> list[np.ndarray]:
-    """All cumulative frames: base, joints 1..6, and the TCP frame (8 total)."""
+    A_i = Rz(theta) Tz(d) Tx(a) Rx(alpha). Every configuration runs the same
+    per-matrix products, so its frames do not depend on the batch it is in.
+    """
     q = np.asarray(q, dtype=float)
-    frames = [np.eye(4)]
-    T = np.eye(4)
-    for i in range(N_JOINTS):
-        T = T @ dh_transform(dh.a[i], dh.alpha[i], dh.d[i], q[i] + dh.theta_offset[i])
-        frames.append(T.copy())
+    theta = q + dh.theta_offset
+    ct, st = np.cos(theta), np.sin(theta)
+    ca, sa = np.cos(dh.alpha), np.sin(dh.alpha)
+    A = np.zeros(q.shape + (4, 4))
+    A[..., 0, 0] = ct
+    A[..., 0, 1] = -st * ca
+    A[..., 0, 2] = st * sa
+    A[..., 0, 3] = dh.a * ct
+    A[..., 1, 0] = st
+    A[..., 1, 1] = ct * ca
+    A[..., 1, 2] = -ct * sa
+    A[..., 1, 3] = dh.a * st
+    A[..., 2, 1] = sa
+    A[..., 2, 2] = ca
+    A[..., 2, 3] = dh.d
+    A[..., 3, 3] = 1.0
+    frames = np.empty(q.shape[:-1] + (N_JOINTS + 2, 4, 4))
+    frames[..., 0, :, :] = np.eye(4)
+    frames[..., 1, :, :] = A[..., 0, :, :]
+    for i in range(1, N_JOINTS):
+        np.matmul(frames[..., i, :, :], A[..., i, :, :], out=frames[..., i + 1, :, :])
     tool = np.eye(4)
     tool[0, 3] = dh.tool_offset
-    frames.append(T @ tool)
+    np.matmul(frames[..., -2, :, :], tool, out=frames[..., -1, :, :])
     return frames
 
 
 def fk_matrix(dh: DHTable, q: np.ndarray) -> np.ndarray:
-    return frame_chain(dh, q)[-1]
+    return frame_chain(dh, q)[..., -1, :, :]
 
 
 def forward_kinematics(dh: DHTable, q: np.ndarray) -> Pose:
@@ -240,71 +248,89 @@ def has_spherical_wrist(dh: DHTable) -> bool:
     return bool(np.all(np.abs(zero) <= 1e-6))
 
 
-def ik_branches(dh: DHTable, target: Pose) -> list[np.ndarray]:
-    """Every IK solution of a spherical-wrist table, in closed form (Pieper).
+def _arm_joints(q1, q2=0.0, q3=0.0) -> np.ndarray:
+    """Joint arrays (..., 6) with the given arm angles and the wrist at zero."""
+    q1, q2, q3 = np.broadcast_arrays(q1, q2, q3)
+    zero = np.zeros(q1.shape)
+    return np.stack([q1, q2, q3, zero, zero, zero], axis=-1)
 
-    The wrist centre w follows from the target alone. Joint 1 points the arm
-    plane at w (two ways); |w - joint-2 origin|^2 = A + B cos q3 + C sin q3,
-    with A, B, C fitted from three frame_chain calls, gives two elbows; q2 is
-    the rotation about z1 that carries the wrist onto w. The wrist rotation
-    is Rz(q4) Ry(q5) Rz(q6) (plus offsets), which gives two flips. Each
-    angle is shifted by 2 pi into the joint limits, and only branches whose
-    forward kinematics reach the target within POS_TOL/ROT_TOL are kept, so
-    at most 8 come back.
+
+def ik_branch_array(dh: DHTable, targets) -> tuple[np.ndarray, np.ndarray]:
+    """Every IK branch of a spherical-wrist table for a stack of targets (Pieper).
+
+    `targets` is (N, 4, 4), homogeneous TCP matrices. Returns the joints
+    (N, 8, 6) and a mask (N, 8) of the branches that exist; slot 4 i + 2 j + k
+    holds shoulder i, elbow j, wrist flip k. The wrist centre w follows from
+    the target alone. Joint 1 points the arm plane at w (two ways);
+    |w - joint-2 origin|^2 = A + B cos q3 + C sin q3, with A, B, C fitted from
+    the frame chain at three elbow angles, gives two elbows; q2 is the
+    rotation about z1 that carries the wrist onto w. The wrist rotation is
+    Rz(q4) Ry(q5) Rz(q6) (plus offsets), which gives two flips. Each angle is
+    shifted by 2 pi into the joint limits; a slot is kept only if its forward
+    kinematics reach the target within POS_TOL/ROT_TOL and no earlier kept
+    slot holds the same joints (within 1e-9 rad). All steps are elementwise
+    per target, so a target's branches do not depend on its batch.
     """
-    T = target.matrix()
-    R = T[:3, :3]
-    w = T[:3, 3] - (dh.tool_offset + dh.a[5]) * R[:, 0] - dh.d[5] * R[:, 2]
+    T = np.asarray(targets, dtype=float)
+    R = T[:, :3, :3]
     off = dh.theta_offset
-    f = []
-    for q3 in (0.0, np.pi / 2, np.pi):
-        frames = frame_chain(dh, [0.0, 0.0, q3, 0.0, 0.0, 0.0])
-        f.append(float(np.sum((frames[4][:3, 3] - frames[1][:3, 3]) ** 2)))
+    w = T[:, :3, 3] - (dh.tool_offset + dh.a[5]) * R[:, :, 0] - dh.d[5] * R[:, :, 2]
+    fit = frame_chain(dh, _arm_joints(0.0, 0.0, np.array([0.0, np.pi / 2, np.pi])))
+    f = np.sum((fit[:, 4, :3, 3] - fit[:, 1, :3, 3]) ** 2, axis=-1)
     A = (f[0] + f[2]) / 2.0
     B = (f[0] - f[2]) / 2.0
     C = f[1] - A
-    phi = np.arctan2(C, B)
-    out = []
-    azimuth = np.arctan2(w[1], w[0])
-    for theta1 in (azimuth, azimuth + np.pi):
-        q1 = theta1 - off[0]
-        o1 = frame_chain(dh, [q1, 0.0, 0.0, 0.0, 0.0, 0.0])[1][:3, 3]
-        k = (float(np.sum((w - o1) ** 2)) - A) / np.hypot(B, C)
-        if abs(k) > 1.0 + 1e-9:
-            continue
-        elbow = np.arccos(np.clip(k, -1.0, 1.0))
-        for q3 in (phi + elbow, phi - elbow):
-            frames = frame_chain(dh, [q1, 0.0, q3, 0.0, 0.0, 0.0])
-            z1 = frames[1][:3, 2]
-            u = frames[4][:3, 3] - o1
-            v = w - o1
-            u = u - (u @ z1) * z1
-            v = v - (v @ z1) * z1
-            q2 = np.arctan2(z1 @ np.cross(u, v), u @ v)
-            M = frame_chain(dh, [q1, q2, q3, 0.0, 0.0, 0.0])[3][:3, :3].T @ R
-            for sign in (1.0, -1.0):
-                s5 = sign * np.hypot(M[0, 2], M[1, 2])
-                t5 = np.arctan2(s5, M[2, 2])
-                # wrist singularity (q5 + offset = 0 or pi): only theta4 +- theta6
-                # is fixed, so take q4 = 0
-                t4 = np.arctan2(sign * M[1, 2], sign * M[0, 2]) if abs(s5) > 1e-12 else off[3]
-                rest = (rot_z(t4) @ rot_y(t5)).T @ M   # Rz(theta6)
-                t6 = np.arctan2(rest[1, 0], rest[0, 0])
-                q = np.array([q1, q2, q3, t4 - off[3], t5 - off[4], t6 - off[5]])
-                # the 2 pi shift of each angle at or just above q_min; the slack
-                # keeps an angle that atan2 puts just outside a limit (q1 lands
-                # 8e-9 rad below q_min with the wrist centre 0.3 mm off the base
-                # axis), and the FK check below arbitrates
-                q = np.remainder(q - dh.q_min + LIMIT_SLACK, 2.0 * np.pi) + dh.q_min - LIMIT_SLACK
-                if np.any(q > dh.q_max + LIMIT_SLACK):
-                    continue
-                q = np.clip(q, dh.q_min, dh.q_max)
-                e = _pose_error(T, fk_matrix(dh, q))
-                if np.linalg.norm(e[:3]) > POS_TOL or np.linalg.norm(e[3:]) > ROT_TOL:
-                    continue
-                if not any(np.max(np.abs(q - p)) <= 1e-9 for p in out):
-                    out.append(q)
-    return out
+    q1 = np.arctan2(w[:, 1], w[:, 0])[:, None] + np.array([0.0, np.pi]) - off[0]  # (N, 2)
+    o1 = frame_chain(dh, _arm_joints(q1))[..., 1, :3, 3]
+    v = w[:, None, :] - o1
+    k = (np.sum(v ** 2, axis=-1) - A) / np.hypot(B, C)
+    elbow = np.arccos(np.clip(k, -1.0, 1.0))
+    q3 = np.arctan2(C, B) + elbow[..., None] * np.array([1.0, -1.0])  # (N, 2, 2)
+    frames = frame_chain(dh, _arm_joints(q1[..., None], 0.0, q3))
+    z1 = frames[..., 1, :3, 2]
+    u = frames[..., 4, :3, 3] - o1[:, :, None]
+    v = np.broadcast_to(v[:, :, None], u.shape)
+    u = u - np.sum(u * z1, axis=-1, keepdims=True) * z1
+    v = v - np.sum(v * z1, axis=-1, keepdims=True) * z1
+    q2 = np.arctan2(np.sum(z1 * np.cross(u, v), axis=-1), np.sum(u * v, axis=-1))
+    R3 = frame_chain(dh, _arm_joints(q1[..., None], q2, q3))[..., 3, :3, :3]
+    M = np.matmul(np.swapaxes(R3, -1, -2), R[:, None, None])[..., None, :, :]  # (N, 2, 2, 1, 3, 3)
+    sign = np.array([1.0, -1.0])
+    s5 = sign * np.hypot(M[..., 0, 2], M[..., 1, 2])
+    t5 = np.arctan2(s5, M[..., 2, 2])
+    # wrist singularity (q5 + offset = 0 or pi): only theta4 +- theta6 is
+    # fixed, so take q4 = 0
+    t4 = np.where(np.abs(s5) > 1e-12,
+                  np.arctan2(sign * M[..., 1, 2], sign * M[..., 0, 2]), off[3])
+    c4, s4, c5 = np.cos(t4), np.sin(t4), np.cos(t5)
+    # (Rz(t4) Ry(t5))^T M = Rz(theta6): its first column
+    t6 = np.arctan2(-s4 * M[..., 0, 0] + c4 * M[..., 1, 0],
+                    c4 * c5 * M[..., 0, 0] + s4 * c5 * M[..., 1, 0] - np.sin(t5) * M[..., 2, 0])
+    q = np.stack(np.broadcast_arrays(q1[..., None, None], q2[..., None], q3[..., None],
+                                     t4 - off[3], t5 - off[4], t6 - off[5]), axis=-1)
+    q = q.reshape(-1, 8, N_JOINTS)
+    # the 2 pi shift of each angle at or just above q_min; the slack keeps an
+    # angle that atan2 puts just outside a limit (q1 lands 8e-9 rad below
+    # q_min with the wrist centre 0.3 mm off the base axis), and the FK check
+    # below arbitrates
+    q = np.remainder(q - dh.q_min + LIMIT_SLACK, 2.0 * np.pi) + dh.q_min - LIMIT_SLACK
+    ok = np.repeat(np.abs(k) <= 1.0 + 1e-9, 4, axis=1)
+    ok &= np.all(q <= dh.q_max + LIMIT_SLACK, axis=-1)
+    q = np.clip(q, dh.q_min, dh.q_max)
+    reached = frame_chain(dh, q)[..., -1, :, :]
+    pos_err = np.sqrt(np.sum((T[:, None, :3, 3] - reached[..., :3, 3]) ** 2, axis=-1))
+    cos_rot = (np.sum(R[:, None] * reached[..., :3, :3], axis=(-2, -1)) - 1.0) / 2.0
+    ok &= (pos_err <= POS_TOL) & (np.arccos(np.clip(cos_rot, -1.0, 1.0)) <= ROT_TOL)
+    for j in range(1, 8):
+        same = np.max(np.abs(q[:, :j] - q[:, j:j + 1]), axis=-1) <= 1e-9
+        ok[:, j] &= ~np.any(same & ok[:, :j], axis=1)
+    return q, ok
+
+
+def ik_branches(dh: DHTable, target: Pose) -> list[np.ndarray]:
+    """Every IK solution of a spherical-wrist table: ik_branch_array for one target."""
+    q, ok = ik_branch_array(dh, target.matrix()[None])
+    return list(q[0, ok[0]])
 
 
 def inverse_kinematics(

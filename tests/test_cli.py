@@ -17,7 +17,9 @@ from fieldarm.nvspin import (
     resonances_from_cubic,
 )
 
-from conftest import SAMPLE, STANDOFF
+from conftest import CONFIG_DIR, SAMPLE, STANDOFF
+
+WALLED = os.path.join(CONFIG_DIR, "walled.yaml")
 
 
 def read_artifact_csv(path):
@@ -275,11 +277,16 @@ SCHEDULE = ["schedule", "--b-start", "0.5", "--b-stop", "10", "--steps", "3"]
     ["odmr", "--pi-MHz", "-1"],
     ["odmr", "--gamma-GHz-per-T", "0"],
     ["--seed", "-1", "odmr", "--points", "11"],
+    ["--config", WALLED, "replace", "--ay", "30", "--az", "53", "--step-m", "0"],
+    ["--config", WALLED, "replace", "--ay", "30", "--az", "53", "--step-m", "-1"],
+    ["--config", WALLED, "replace", "--ay", "30", "--az", "53", "--max-steps", "0"],
+    ["odmr", "--noise", "-1"],
 ], ids=["scan-steps-0", "schedule-steps-0", "odmr-points-0", "schedule-resolution-0",
         "odmr-linewidth-0", "scan-standoff-nan", "schedule-ay-nan", "schedule-b-stop-inf",
         "odmr-bz-nan", "scan-standoff-in-magnet", "replace-standoff-in-magnet",
         "odmr-depth-1.5", "odmr-depth-0", "odmr-d-0", "odmr-pi-negative", "odmr-gamma-0",
-        "seed-negative"])
+        "seed-negative", "replace-step-0", "replace-step-negative", "replace-max-steps-0",
+        "odmr-noise-negative"])
 def test_out_of_range_argument_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "artefact"
     assert main(argv + ["--out", str(out)]) == 2

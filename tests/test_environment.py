@@ -17,11 +17,10 @@ from fieldarm.environment import (
     check_collision,
     load_mesh,
     partition_pose_dictionary,
-    path_feasible,
     pose_feasibility,
     segment_triangle_distance,
 )
-from fieldarm.errors import DegenerateGeometry, EndpointInCollision, ParseError
+from fieldarm.errors import DegenerateGeometry, ParseError
 from fieldarm.kinematics import (
     POS_TOL,
     Pose,
@@ -188,32 +187,6 @@ def test_collision_monotone_under_shrinking_radii(dh):
             assert check_collision(thin, q, [plane]).clear
 
 
-def test_path_feasible_detects_mid_path_obstacle(dh):
-    j_start = np.zeros(6)
-    j_end = np.array([1.2, 0.0, 0.0, 0.0, 0.0, 0.0])
-    j_mid = (j_start + j_end) / 2.0
-    tcp = forward_kinematics(dh, j_mid).position
-    e = 0.02
-    cube_v = np.array([
-        tcp + [-e, -e, -e], tcp + [e, -e, -e], tcp + [e, e, -e], tcp + [-e, e, -e],
-        tcp + [-e, -e, e], tcp + [e, -e, e], tcp + [e, e, e], tcp + [-e, e, e],
-    ])
-    cube_t = [[0, 2, 1], [0, 3, 2], [4, 5, 6], [4, 6, 7], [0, 1, 5], [0, 5, 4],
-              [2, 3, 7], [2, 7, 6], [1, 2, 6], [1, 6, 5], [3, 0, 4], [3, 4, 7]]
-    cube = TriangleMesh(cube_v, cube_t, "blocker")
-    assert not path_feasible(dh, j_start, j_end, [cube])
-    assert path_feasible(dh, j_start, j_end, [])
-
-
-def test_path_feasible_rejects_colliding_endpoint(dh):
-    plane = TriangleMesh(
-        [[-5, -5, 0.1], [5, -5, 0.1], [5, 5, 0.1], [-5, 5, 0.1]],
-        [[0, 1, 2], [0, 2, 3]], "cutting-plane",
-    )
-    with pytest.raises(EndpointInCollision):
-        path_feasible(dh, np.zeros(6), np.zeros(6), [plane])
-
-
 def test_pose_feasibility_statuses(arm, wall):
     reachable = forward_kinematics(arm, np.array([0.3, 0.4, -0.2, 0.1, 0.5, 0.0]))
     res = pose_feasibility(reachable, arm, [], arm.home())
@@ -302,9 +275,9 @@ def test_non_spherical_table_uses_seeded_dls_fallback(arm, wall, monkeypatch):
     assert not has_spherical_wrist(bent)
 
     def no_closed_form(*args):
-        raise AssertionError("ik_branches called for a table without a spherical wrist")
+        raise AssertionError("closed-form IK called for a table without a spherical wrist")
 
-    monkeypatch.setattr(fieldarm.environment, "ik_branches", no_closed_form)
+    monkeypatch.setattr(fieldarm.environment, "ik_branch_array", no_closed_form)
     poses = [Pose(0.2, 0.1, 0.3, 0.0, 0.5, 0.2), Pose(0.2, 0.05, 0.3, 0.0, 0.5, 0.2),
              Pose(0.2, -0.15, 0.3, 0.0, 0.5, 0.2)]
     first = partition_pose_dictionary(poses, bent, [wall], random_seed=7)
