@@ -31,6 +31,7 @@ from .lsq import least_squares
 from .magnetostatics import MagnetSpec, cylinder_field, inverse_dipole
 
 SIMILARITY_SCALE_MT = 3.0  # Gaussian kernel length scale, millitesla
+SCHEDULE_MAX_DISTANCE_M = 0.6  # far end of the ray amplitude_schedule searches
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,7 @@ def calibrate_offsets(measured, spec: MagnetSpec, sample, standoff) -> Calibrati
 
 
 def amplitude_schedule(targets, spec: MagnetSpec, direction, sample,
-                       resolution=0.0005, r_min=None, r_max=0.6) -> AmplitudeSchedule:
+                       resolution=0.0005) -> AmplitudeSchedule:
     """Pick magnet distances realising each target amplitude on a fixed ray.
 
     Inverts the monotone |B|(r) curve by bisection (1e-9 m), run on all
@@ -152,15 +153,14 @@ def amplitude_schedule(targets, spec: MagnetSpec, direction, sample,
         raise ValueError("resolution must be > 0")
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
     sample = np.asarray(sample, dtype=float)
-    if r_min is None:
-        r_min = spec.length / 2.0 + spec.outer_radius  # just clear of the magnet body
+    r_min = spec.length / 2.0 + spec.outer_radius  # just clear of the magnet body
     n = unit_normal(*angles_for_direction(direction))
 
     def magnitude(r):
         r = np.asarray(r, dtype=float)
         return np.linalg.norm(cylinder_field(spec, sample - r[..., None] * n, n, sample), axis=-1)
 
-    B_hi, B_lo = magnitude([r_min, r_max])
+    B_hi, B_lo = magnitude([r_min, SCHEDULE_MAX_DISTANCE_M])
     unreachable = ~((targets >= B_lo) & (targets <= B_hi))
     if np.any(unreachable):
         t = targets[np.argmax(unreachable)]
@@ -168,7 +168,7 @@ def amplitude_schedule(targets, spec: MagnetSpec, direction, sample,
             f"target {t:.4e} T outside achievable [{B_lo:.4e}, {B_hi:.4e}] T"
         )
     lo = np.full_like(targets, r_min)
-    hi = np.full_like(targets, r_max)
+    hi = np.full_like(targets, SCHEDULE_MAX_DISTANCE_M)
     while True:
         active = hi - lo > 1e-9
         if not np.any(active):
@@ -198,12 +198,14 @@ def similarity(B1, B2, d_mT=SIMILARITY_SCALE_MT) -> float:
 
 
 FAR_FIELD_DIAMETERS = 8.0
+MAX_DISTANCE_M = 10.0  # farthest magnet-sample distance the magnitude search tries
+MAGNITUDE_TOL_M = 1e-9  # bisection tolerance of the magnitude search
 REPLACE_CHUNK = 16  # displacement candidates per feasibility_batch call
 
 
 def replace_forbidden_pose(forbidden: Pose, sample, spec: MagnetSpec, env, dh,
                            displacement_axis="z", search_step=0.005, max_steps=40,
-                           seed=None, magnitude_tol=1e-9, rng=None) -> ReplacementPlan:
+                           rng=None) -> ReplacementPlan:
     """Four-stage replacement of a collision-forbidden magnet pose.
 
     (i) record the target field of the forbidden pose at the sample;
@@ -212,8 +214,8 @@ def replace_forbidden_pose(forbidden: Pose, sample, spec: MagnetSpec, env, dh,
     moment for the new displacement so the field direction is recovered;
     (iv) slide the magnet along the magnet-sample ray (cube-root initial
     guess, then bisection on the cylinder model) to recover the magnitude.
-    A pose counts as reachable when feasibility_batch says so; `seed` is the
-    first IK seed and `rng` drives its DLS fallback. The displacement
+    A pose counts as reachable when feasibility_batch says so; the IK seed
+    starts at home and `rng` drives its DLS fallback. The displacement
     candidates, in (step, sign) order, are checked REPLACE_CHUNK at a time;
     a table without a spherical wrist checks them one at a time, since its
     DLS search depends on the IK seed that each check passes on.
@@ -222,7 +224,7 @@ def replace_forbidden_pose(forbidden: Pose, sample, spec: MagnetSpec, env, dh,
         raise ValueError("displacement_axis must be 'y' or 'z'")
     sample = np.asarray(sample, dtype=float)
     trees = build_trees(env)
-    state = {"seed": dh.home() if seed is None else np.asarray(seed, dtype=float)}
+    state = {"seed": dh.home()}
 
     def reachable(result):
         if result.joints is not None:
@@ -263,11 +265,11 @@ def replace_forbidden_pose(forbidden: Pose, sample, spec: MagnetSpec, env, dh,
         r_guess = r0 * (np.linalg.norm(B_rot) / target_mag) ** (1.0 / 3.0)
         lo = max(r_guess / 2.0, r_clear)
         hi = r_guess * 2.0
-        while mag_at(hi) > target_mag and hi < 10.0:
+        while mag_at(hi) > target_mag and hi < MAX_DISTANCE_M:
             hi *= 1.5
         while mag_at(lo) < target_mag and lo / 1.5 > r_clear:
             lo = max(lo / 1.5, r_clear)
-        while hi - lo > magnitude_tol:
+        while hi - lo > MAGNITUDE_TOL_M:
             mid = (lo + hi) / 2.0
             if mag_at(mid) > target_mag:
                 lo = mid

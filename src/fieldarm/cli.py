@@ -7,6 +7,12 @@ embed the resolved configuration and seed in comment headers so a re-run
 with identical inputs is byte-identical, and files are written atomically
 (temp file + rename). Exit codes: 0 success, 1 runtime/algorithmic
 failure, 2 usage or configuration error.
+
+Every input is declared once, as a Flag in COMMON or COMMANDS (type or
+choices, default, help, Domain; an input CSV's columns with their Domains).
+The parser and --help, the checks in _check_args (a value outside its
+domain is exit 2) and a CSV artefact's `# args` header all read these
+entries. A non-finite number never reaches an artefact: that is exit 1.
 """
 
 import argparse
@@ -18,11 +24,14 @@ import math
 import os
 import sys
 import tempfile
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .alignment import (
+    MAX_DISTANCE_M,
+    SCHEDULE_MAX_DISTANCE_M,
     amplitude_schedule,
     angular_error,
     calibrate_offsets,
@@ -42,21 +51,101 @@ from .nvspin import (
 )
 
 _USAGE_ERRORS = (ConfigError, ParseError, InsufficientData, UsageError)
-_STEP_COUNTS = ("ay_steps", "az_steps", "steps", "points", "max_steps")
-_POSITIVE = ("resolution_m", "linewidth_MHz", "d_GHz", "gamma_GHz_per_T", "step_m")
-_NON_NEGATIVE = ("pi_MHz", "seed", "noise")
+
+
+class Domain(NamedTuple):
+    """The values a flag or CSV cell may take: help text and test (never NaN)."""
+
+    text: str
+    ok: Callable[[float], bool]
+
+
+FINITE = Domain("finite", math.isfinite)
+POSITIVE = Domain("> 0", lambda v: 0 < v < math.inf)
+NON_NEGATIVE = Domain(">= 0", lambda v: 0 <= v < math.inf)
+INDEX = Domain("an integer >= 0", lambda v: 0 <= v < math.inf and float(v).is_integer())
+
+
+def up_to(hi):
+    return Domain(f"in (0, {hi:g}]", lambda v: 0 < v <= hi)
+
+
+def count(maximum):
+    """Integer counts; the maximum keeps a typo from allocating without bound."""
+    return Domain(f"an integer in [1, {maximum}]", lambda v: 1 <= v <= maximum)
+
+
+REQUIRED = object()
+
+
+class Flag(NamedTuple):
+    name: str                # option --name with "_" as "-"; the argparse dest
+    kind: object = float     # a type, or a tuple of choices
+    default: object = None   # or REQUIRED
+    domain: Domain = None    # every int and float flag has one
+    help: str = ""
+    columns: dict = None     # an input CSV: column name -> Domain
+
+    @property
+    def option(self):
+        return "--" + self.name.replace("_", "-")
+
+    @property
+    def help_text(self):
+        text = self.help
+        if self.domain:
+            text = f"{text} ({self.domain.text})" if text else self.domain.text
+        if self.columns:
+            text += " with columns " + ", ".join(
+                f"{name} ({domain.text})" for name, domain in self.columns.items())
+        return text
+
+
+COMMON = (
+    Flag("config", str, help="YAML run configuration file"),
+    Flag("seed", int, domain=NON_NEGATIVE, help="override the configuration seed"),
+    Flag("out", str, help="output artefact path (default: stdout)"),
+    Flag("units", ("mT-deg", "si"), "mT-deg", help="units at the CLI boundary (default: mT-deg)"),
+)
+# the standoff must also clear the magnet's half-length (_check_args)
+STANDOFF = Flag("standoff_m", default=0.16, domain=up_to(MAX_DISTANCE_M))
+GRID = (
+    Flag("ay_start", default=REQUIRED, domain=FINITE),
+    Flag("ay_stop", default=REQUIRED, domain=FINITE),
+    Flag("ay_steps", int, REQUIRED, count(1000)),
+    Flag("az_start", default=REQUIRED, domain=FINITE),
+    Flag("az_stop", default=REQUIRED, domain=FINITE),
+    Flag("az_steps", int, REQUIRED, count(1000)),
+    STANDOFF,
+)
+# the upper bounds lie far above any spin defect's and keep the values finite in Hz
+NV = (
+    Flag("d_GHz", default=2.8704, domain=up_to(1000)),
+    Flag("pi_MHz", default=1.8515, domain=NON_NEGATIVE),
+    Flag("gamma_GHz_per_T", default=GAMMA_E_DEFAULT * 1e-9, domain=up_to(1000)),
+)
+CALIBRATION_CSV = Flag("input", str, REQUIRED, help="measurement CSV", columns={
+    "alpha_y_deg": FINITE, "alpha_z_deg": FINITE, "mass_index": INDEX,
+    "Bx_mT": FINITE, "By_mT": FINITE, "Bz_mT": FINITE})
+# each row must also have f_plus_MHz >= f_minus_MHz (_check_args)
+TRAJECTORY_CSV = Flag("input", str, REQUIRED, help="trajectory CSV", columns={
+    "alpha_yB_deg": FINITE, "alpha_zB_deg": FINITE, "f_minus_MHz": POSITIVE,
+    "f_plus_MHz": POSITIVE, "B_hall_mT": POSITIVE})
 
 
 def _fmt(x) -> str:
-    return format(float(x), ".10g")
+    x = float(x)
+    if not math.isfinite(x):
+        raise FieldArmError(f"refusing to write the non-finite value {x}")
+    return format(x, ".10g")
 
 
 class Units:
     """Unit conversion at the CLI boundary: mT/deg (default) or SI."""
 
     def __init__(self, mode):
-        self.mode = mode
         self.boundary = mode == "mT-deg"
+        self.angle_label, self.field_label = ("deg", "mT") if self.boundary else ("rad", "T")
 
     def angle_in(self, v):   # CLI -> rad
         return math.radians(v) if self.boundary else v
@@ -69,14 +158,6 @@ class Units:
 
     def field_out(self, v):  # T -> CLI
         return np.asarray(v) * 1e3 if self.boundary else np.asarray(v)
-
-    @property
-    def angle_label(self):
-        return "deg" if self.boundary else "rad"
-
-    @property
-    def field_label(self):
-        return "mT" if self.boundary else "T"
 
 
 def _atomic_write(path, text):
@@ -99,56 +180,58 @@ def _emit(args, text):
         sys.stdout.write(text)
 
 
-def _header_lines(args, config: RunConfig, command, cmd_args):
-    blob = json.dumps(config.resolved, sort_keys=True, separators=(",", ":"))
-    cmd_blob = json.dumps(cmd_args, sort_keys=True, separators=(",", ":"))
-    return [
-        f"# fieldarm {command}",
-        f"# config {blob}",
-        f"# seed {config.seed}",
-        f"# args {cmd_blob}",
-        f"# units {args.units}",
-    ]
+def _compact_json(value):
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-def _csv_text(header_lines, columns, rows):
+def _emit_csv(args, config: RunConfig, columns, rows):
+    """The CSV artefact; its header records the config, seed and declared flags."""
+    flags = {flag.name: getattr(args, flag.name) for flag in COMMANDS[args.command].flags}
     buf = io.StringIO()
-    for line in header_lines:
-        buf.write(line + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
+    for line in (f"fieldarm {args.command}", f"config {_compact_json(config.resolved)}",
+                 f"seed {config.seed}", f"args {_compact_json(flags)}", f"units {args.units}"):
+        buf.write(f"# {line}\n")
+    csv.writer(buf, lineterminator="\n").writerows([columns, *rows])
+    _emit(args, buf.getvalue())
 
 
 def _json_text(payload):
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise FieldArmError("refusing to write a non-finite value") from None
 
 
-def _read_csv_rows(path, required_columns):
+def _emit_json(args, config: RunConfig, payload):
+    _emit(args, _json_text({"command": args.command, "config": config.resolved,
+                            "seed": config.seed, **payload}))
+
+
+def _read_csv_rows(path, columns):
+    """Data rows as floats, every cell held to its column's domain."""
     try:
         with open(path, newline="") as fh:
             lines = [ln for ln in fh if not ln.startswith("#")]
-    except FileNotFoundError:
-        raise ConfigError(f"input file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read input file {path}: {exc}") from None
     reader = csv.DictReader(lines)
-    if reader.fieldnames is None:
-        raise ParseError(f"{path}: empty CSV", line=1)
-    missing = [c for c in required_columns if c not in reader.fieldnames]
+    missing = [c for c in columns if c not in (reader.fieldnames or ())]
     if missing:
         raise ParseError(f"{path}: missing column '{missing[0]}'", line=1)
     rows = []
     for i, rec in enumerate(reader, start=2):
         parsed = {}
-        for col in required_columns:
+        for col, domain in columns.items():
             try:
                 parsed[col] = float(rec[col])
             except (TypeError, ValueError):
-                raise ParseError(
-                    f"{path}: bad value {rec.get(col)!r} in column '{col}'", line=i
-                ) from None
+                parsed[col] = math.nan
+            if not domain.ok(parsed[col]):
+                raise ParseError(f"{path}: column '{col}' must be {domain.text}, "
+                                 f"got {rec[col]!r}", line=i)
         rows.append(parsed)
+    if not rows:
+        raise ParseError(f"{path}: no data rows", line=2)
     return rows
 
 
@@ -161,69 +244,47 @@ def _pose_dict(pose: Pose, units: Units):
     }
 
 
-def _grid(args, units: Units):
-    ay = np.linspace(units.angle_in(args.ay_start), units.angle_in(args.ay_stop),
-                     args.ay_steps)
-    az = np.linspace(units.angle_in(args.az_start), units.angle_in(args.az_stop),
-                     args.az_steps)
-    return ay, az
+def _scan_points(args, config: RunConfig, units: Units):
+    ay = np.linspace(units.angle_in(args.ay_start), units.angle_in(args.ay_stop), args.ay_steps)
+    az = np.linspace(units.angle_in(args.az_start), units.angle_in(args.az_stop), args.az_steps)
+    return sphere_segment_scan(config.sample, ay, az, args.standoff_m, config.magnet)
 
 
-def cmd_scan(args, config: RunConfig, units: Units) -> int:
-    ay, az = _grid(args, units)
-    points = sphere_segment_scan(config.sample, ay, az, args.standoff_m, config.magnet)
-    rows = []
-    errors = []
-    for pt in points:
-        designed = unit_normal(pt.alpha_y, pt.alpha_z)
-        err = angular_error(pt.predicted_field, designed)
-        errors.append(err)
-        b = units.field_out(pt.predicted_field)
-        rows.append([
-            _fmt(units.angle_out(pt.alpha_y)), _fmt(units.angle_out(pt.alpha_z)),
-            _fmt(b[0]), _fmt(b[1]), _fmt(b[2]),
-            _fmt(units.angle_out(err)), pt.order_index,
-        ])
-    a = units.angle_label
-    f = units.field_label
+def cmd_scan(args, config: RunConfig, units: Units):
+    points = _scan_points(args, config, units)
+    errors = [angular_error(pt.predicted_field, unit_normal(pt.alpha_y, pt.alpha_z))
+              for pt in points]
+    rows = [[_fmt(units.angle_out(pt.alpha_y)), _fmt(units.angle_out(pt.alpha_z)),
+             *(_fmt(b) for b in units.field_out(pt.predicted_field)),
+             _fmt(units.angle_out(err)), pt.order_index]
+            for pt, err in zip(points, errors)]
+    a, f = units.angle_label, units.field_label
     columns = [f"alpha_y_{a}", f"alpha_z_{a}", f"Bx_{f}", f"By_{f}", f"Bz_{f}",
                f"angular_error_{a}", "order_index"]
-    cmd_args = {"ay_start": args.ay_start, "ay_stop": args.ay_stop, "ay_steps": args.ay_steps,
-                "az_start": args.az_start, "az_stop": args.az_stop, "az_steps": args.az_steps,
-                "standoff_m": args.standoff_m}
-    _emit(args, _csv_text(_header_lines(args, config, "scan", cmd_args), columns, rows))
+    _emit_csv(args, config, columns, rows)
     mean_err = units.angle_out(float(np.mean(errors)))
     max_err = units.angle_out(float(np.max(errors)))
     print(f"scan: {len(rows)} poses, mean angular error {mean_err:.6g} {a}, "
           f"max {max_err:.6g} {a}", file=sys.stderr)
-    return 0
 
 
-def cmd_calibrate(args, config: RunConfig, units: Units) -> int:
-    recs = _read_csv_rows(args.input, ["alpha_y_deg", "alpha_z_deg", "mass_index",
-                                       "Bx_mT", "By_mT", "Bz_mT"])
+def cmd_calibrate(args, config: RunConfig, units: Units):
     measured = [
         (math.radians(r["alpha_y_deg"]), math.radians(r["alpha_z_deg"]),
          int(r["mass_index"]),
          np.array([r["Bx_mT"], r["By_mT"], r["Bz_mT"]]) * 1e-3)
-        for r in recs
+        for r in args.rows
     ]
     result = calibrate_offsets(measured, config.magnet, config.sample, args.standoff_m)
-    payload = {
-        "command": "calibrate",
-        "config": config.resolved,
-        "seed": config.seed,
+    _emit_json(args, config, {
         f"delta_alpha_y_{units.angle_label}": float(units.angle_out(result.delta_alpha_y)),
-        f"delta_alpha_z_{units.angle_label}": [
-            float(units.angle_out(v)) for v in result.delta_alpha_z
-        ],
+        f"delta_alpha_z_{units.angle_label}": [float(units.angle_out(v))
+                                               for v in result.delta_alpha_z],
         f"residual_rms_{units.field_label}": float(units.field_out(result.residual_rms)),
-    }
-    _emit(args, _json_text(payload))
-    return 0
+    })
 
 
-def cmd_schedule(args, config: RunConfig, units: Units) -> int:
+def cmd_schedule(args, config: RunConfig, units: Units):
     targets = np.linspace(units.field_in(args.b_start), units.field_in(args.b_stop),
                           args.steps)
     direction = unit_normal(units.angle_in(args.ay), units.angle_in(args.az))
@@ -237,18 +298,13 @@ def cmd_schedule(args, config: RunConfig, units: Units) -> int:
          _fmt(units.field_out(sched.error_bounds[i]))]
         for i in range(len(sched.targets))
     ]
-    cmd_args = {"b_start": args.b_start, "b_stop": args.b_stop, "steps": args.steps,
-                "ay": args.ay, "az": args.az, "resolution_m": args.resolution_m}
-    _emit(args, _csv_text(_header_lines(args, config, "schedule", cmd_args), columns, rows))
-    return 0
+    _emit_csv(args, config, columns, rows)
 
 
-def cmd_partition(args, config: RunConfig, units: Units) -> int:
-    ay, az = _grid(args, units)
-    points = sphere_segment_scan(config.sample, ay, az, args.standoff_m, config.magnet)
-    results = partition_pose_dictionary(
-        [pt.pose for pt in points], config.dh, config.environment, random_seed=config.seed
-    )
+def cmd_partition(args, config: RunConfig, units: Units):
+    points = _scan_points(args, config, units)
+    results = partition_pose_dictionary([pt.pose for pt in points], config.dh,
+                                        config.environment, random_seed=config.seed)
     a = units.angle_label
     columns = [f"alpha_y_{a}", f"alpha_z_{a}", "status", "order_index"]
     rows = [
@@ -256,27 +312,19 @@ def cmd_partition(args, config: RunConfig, units: Units) -> int:
          res.status.value, pt.order_index]
         for pt, res in zip(points, results)
     ]
-    cmd_args = {"ay_start": args.ay_start, "ay_stop": args.ay_stop, "ay_steps": args.ay_steps,
-                "az_start": args.az_start, "az_stop": args.az_stop, "az_steps": args.az_steps,
-                "standoff_m": args.standoff_m}
-    _emit(args, _csv_text(_header_lines(args, config, "partition", cmd_args), columns, rows))
-    return 0
+    _emit_csv(args, config, columns, rows)
 
 
-def cmd_replace(args, config: RunConfig, units: Units) -> int:
-    forbidden = magnet_pose_for_field_direction(
-        config.sample, units.angle_in(args.ay), units.angle_in(args.az), args.standoff_m
-    )
+def cmd_replace(args, config: RunConfig, units: Units):
+    forbidden = magnet_pose_for_field_direction(config.sample, units.angle_in(args.ay),
+                                                units.angle_in(args.az), args.standoff_m)
     plan = replace_forbidden_pose(
         forbidden, config.sample, config.magnet, config.environment, config.dh,
         displacement_axis=args.axis, search_step=args.step_m, max_steps=args.max_steps,
         rng=config.seed,
     )
     f = units.field_label
-    payload = {
-        "command": "replace",
-        "config": config.resolved,
-        "seed": config.seed,
+    _emit_json(args, config, {
         "original_pose": _pose_dict(plan.original_pose, units),
         "displaced_pose": _pose_dict(plan.displaced_pose, units),
         "rotated_pose": _pose_dict(plan.rotated_pose, units),
@@ -286,51 +334,30 @@ def cmd_replace(args, config: RunConfig, units: Units) -> int:
         "similarity": float(plan.similarity),
         "far_field_ok": bool(plan.far_field_ok),
         "identity": bool(plan.identity),
-    }
-    _emit(args, _json_text(payload))
-    return 0
+    })
 
 
-def cmd_odmr(args, config: RunConfig, units: Units) -> int:
+def cmd_odmr(args, config: RunConfig, units: Units):
     params = NVParams(D=args.d_GHz * 1e9, Pi=args.pi_MHz * 1e6,
                       gamma_e=args.gamma_GHz_per_T * 1e9)
-    B_nv = np.array([units.field_in(args.bx), units.field_in(args.by),
-                     units.field_in(args.bz)])
+    B_nv = np.array([units.field_in(b) for b in (args.bx, args.by, args.bz)])
     grid = np.linspace(args.f_start_MHz * 1e6, args.f_stop_MHz * 1e6, args.points)
-    rng = np.random.default_rng(config.seed)
-    spectrum = odmr_spectrum(params, B_nv, args.linewidth_MHz * 1e6, args.depth,
-                             grid, noise_sigma=args.noise, rng=rng)
-    columns = ["freq_MHz", "contrast"]
+    spectrum = odmr_spectrum(params, B_nv, args.linewidth_MHz * 1e6, args.depth, grid,
+                             noise_sigma=args.noise, rng=np.random.default_rng(config.seed))
     rows = [[_fmt(fq * 1e-6), _fmt(c)] for fq, c in zip(spectrum.frequencies, spectrum.contrast)]
-    cmd_args = {"d_GHz": args.d_GHz, "pi_MHz": args.pi_MHz,
-                "gamma_GHz_per_T": args.gamma_GHz_per_T,
-                "bx": args.bx, "by": args.by, "bz": args.bz,
-                "f_start_MHz": args.f_start_MHz, "f_stop_MHz": args.f_stop_MHz,
-                "points": args.points, "linewidth_MHz": args.linewidth_MHz,
-                "depth": args.depth, "noise": args.noise}
-    _emit(args, _csv_text(_header_lines(args, config, "odmr", cmd_args), columns, rows))
-    return 0
+    _emit_csv(args, config, ["freq_MHz", "contrast"], rows)
 
 
-def cmd_fit_nv(args, config: RunConfig, units: Units) -> int:
-    recs = _read_csv_rows(args.input, ["alpha_yB_deg", "alpha_zB_deg",
-                                       "f_minus_MHz", "f_plus_MHz", "B_hall_mT"])
-    if len(recs) < 4:
-        raise InsufficientData(f"need >= 4 trajectory rows, got {len(recs)}")
-    splittings = np.array([(r["f_plus_MHz"] - r["f_minus_MHz"]) * 1e6 for r in recs])
-    magnitudes = np.array([r["B_hall_mT"] * 1e-3 for r in recs])
+def cmd_fit_nv(args, config: RunConfig, units: Units):
+    splittings = np.array([(r["f_plus_MHz"] - r["f_minus_MHz"]) * 1e6 for r in args.rows])
+    magnitudes = np.array([r["B_hall_mT"] * 1e-3 for r in args.rows])
     nu_n = normalize_splittings(splittings, magnitudes)
-    trajectory = [
-        (math.radians(r["alpha_yB_deg"]), math.radians(r["alpha_zB_deg"]), nu)
-        for r, nu in zip(recs, nu_n)
-    ]
+    trajectory = [(math.radians(r["alpha_yB_deg"]), math.radians(r["alpha_zB_deg"]), nu)
+                  for r, nu in zip(args.rows, nu_n)]
     fit = fit_orientation(trajectory, D=args.d_GHz * 1e9, Pi=args.pi_MHz * 1e6,
                           gamma_e=args.gamma_GHz_per_T * 1e9)
     a = units.angle_label
-    payload = {
-        "command": "fit-nv",
-        "config": config.resolved,
-        "seed": config.seed,
+    _emit_json(args, config, {
         f"alpha_y_nv_{a}": float(units.angle_out(fit.alpha_y_nv)),
         f"alpha_z_nv_{a}": float(units.angle_out(fit.alpha_z_nv)),
         f"alpha_y_err_{a}": float(units.angle_out(fit.alpha_y_err)),
@@ -339,52 +366,86 @@ def cmd_fit_nv(args, config: RunConfig, units: Units) -> int:
         f"B_err_{units.field_label}": float(units.field_out(fit.B_err)),
         "residual_rms_Hz": float(fit.residual_rms),
         "notes": "NV axis and its negation are equivalent; angles reported in [0, 180) deg",
-    }
-    _emit(args, _json_text(payload))
-    return 0
+    })
+
+
+class Command(NamedTuple):
+    run: Callable
+    help: str
+    flags: tuple
+
+
+COMMANDS = {
+    "scan": Command(cmd_scan, "sphere-segment scan CSV with angular errors", GRID),
+    "calibrate": Command(cmd_calibrate, "fit pose offsets from a measurement CSV",
+                         (CALIBRATION_CSV, STANDOFF)),
+    "schedule": Command(cmd_schedule, "amplitude schedule along a fixed ray", (
+        Flag("b_start", default=REQUIRED, domain=FINITE, help="first target amplitude"),
+        Flag("b_stop", default=REQUIRED, domain=FINITE, help="last target amplitude"),
+        Flag("steps", int, REQUIRED, count(10_000)),
+        Flag("ay", default=0.0, domain=FINITE, help="ray direction angle"),
+        Flag("az", default=0.0, domain=FINITE, help="ray direction angle"),
+        Flag("resolution_m", default=0.0005, domain=up_to(SCHEDULE_MAX_DISTANCE_M)),
+    )),
+    "partition": Command(cmd_partition, "classify scan poses as reachable/forbidden", GRID),
+    "replace": Command(cmd_replace, "replace one collision-forbidden pose", (
+        Flag("ay", default=REQUIRED, domain=FINITE, help="forbidden pose angle"),
+        Flag("az", default=REQUIRED, domain=FINITE, help="forbidden pose angle"),
+        STANDOFF,
+        Flag("axis", ("y", "z"), "y"),
+        Flag("step_m", default=0.005, domain=POSITIVE),
+        Flag("max_steps", int, 40, count(10_000)),
+    )),
+    "odmr": Command(cmd_odmr, "synthetic ODMR spectrum CSV", NV + (
+        Flag("bx", default=0.0, domain=FINITE, help="NV-frame field component"),
+        Flag("by", default=0.0, domain=FINITE, help="NV-frame field component"),
+        Flag("bz", default=0.0, domain=FINITE, help="NV-frame field component"),
+        Flag("f_start_MHz", default=2700.0, domain=FINITE),
+        Flag("f_stop_MHz", default=3050.0, domain=FINITE),
+        Flag("points", int, 1001, count(1_000_000)),
+        Flag("linewidth_MHz", default=5.0, domain=up_to(10_000)),
+        Flag("depth", default=0.02, domain=Domain("in (0, 1)", lambda v: 0 < v < 1)),
+        Flag("noise", default=0.0, domain=NON_NEGATIVE),
+    )),
+    "fit-nv": Command(cmd_fit_nv, "fit NV axis orientation from a trajectory CSV",
+                      (TRAJECTORY_CSV,) + NV),
+}
 
 
 def _check_args(args, config: RunConfig):
-    """Reject command-line values no command can work with, before any work.
+    """Hold every flag and input-CSV cell to its declared domain, before any work.
 
-    Every float must be finite, step counts (and replace's --max-steps) at
-    least 1, the resolution, linewidth, zero-field splitting, gyromagnetic
-    ratio and replace's --step-m positive, the strain term, the noise and
-    the seed non-negative, the dip depth in (0, 1), and the standoff must
-    put the sample beyond the magnet's end face.
+    Two rules span fields: the standoff must put the sample beyond the
+    magnet's end face, and a trajectory row needs f_plus >= f_minus. The
+    checked CSV rows are left in args.rows.
     """
-    for name, value in sorted(vars(args).items()):
-        flag = "--" + name.replace("_", "-")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise UsageError(f"{flag} must be finite, got {value}")
-        if name in _STEP_COUNTS and value < 1:
-            raise UsageError(f"{flag} must be >= 1, got {value}")
-        if name in _POSITIVE and value <= 0:
-            raise UsageError(f"{flag} must be > 0, got {value}")
-        if name in _NON_NEGATIVE and value is not None and value < 0:
-            raise UsageError(f"{flag} must be >= 0, got {value}")
-        if name == "depth" and not 0 < value < 1:
-            raise UsageError(f"{flag} must be in (0, 1), got {value}")
+    command = COMMANDS[args.command]
+    for flag in COMMON + command.flags:
+        value = getattr(args, flag.name)
+        if flag.domain and value is not None and not flag.domain.ok(value):
+            raise UsageError(f"{flag.option} must be {flag.domain.text}, got {value}")
     half_length = config.magnet.length / 2.0
     if getattr(args, "standoff_m", math.inf) <= half_length:
         raise UsageError(f"--standoff-m {args.standoff_m} m puts the sample inside the "
                          f"magnet (half-length {half_length} m)")
+    for flag in command.flags:
+        if flag.columns:
+            args.rows = _read_csv_rows(args.input, flag.columns)
+    for i, row in enumerate(getattr(args, "rows", ()), start=2):
+        if "f_plus_MHz" in row and row["f_plus_MHz"] < row["f_minus_MHz"]:
+            raise ParseError(f"{args.input}: f_plus_MHz is below f_minus_MHz", line=i)
 
 
-def _angle_default(units_mode, deg_value):
-    return deg_value if units_mode == "mT-deg" else math.radians(deg_value)
+def _add_flag(parser, flag: Flag, default):
+    kind = {"choices": flag.kind} if isinstance(flag.kind, tuple) else {"type": flag.kind}
+    parser.add_argument(flag.option, required=default is REQUIRED, default=default,
+                        help=flag.help_text or None, **kind)
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=argparse.SUPPRESS,
-                        help="YAML run configuration file")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="override the configuration seed")
-    common.add_argument("--out", default=argparse.SUPPRESS,
-                        help="output artefact path (default: stdout)")
-    common.add_argument("--units", choices=["mT-deg", "si"], default=argparse.SUPPRESS,
-                        help="units at the CLI boundary (default: mT-deg)")
+    for flag in COMMON:
+        _add_flag(common, flag, argparse.SUPPRESS)  # main supplies the defaults
     parser = argparse.ArgumentParser(
         prog="fieldarm",
         description="Robot-carried-magnet field planning and NV-sensor toolkit",
@@ -394,92 +455,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=lambda **kw: argparse.ArgumentParser(
                                     parents=[common], **kw))
-
-    def add_grid(p):
-        p.add_argument("--ay-start", type=float, required=True)
-        p.add_argument("--ay-stop", type=float, required=True)
-        p.add_argument("--ay-steps", type=int, required=True)
-        p.add_argument("--az-start", type=float, required=True)
-        p.add_argument("--az-stop", type=float, required=True)
-        p.add_argument("--az-steps", type=int, required=True)
-        p.add_argument("--standoff-m", type=float, default=0.16)
-
-    p = sub.add_parser("scan", help="sphere-segment scan CSV with angular errors")
-    add_grid(p)
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("calibrate", help="fit pose offsets from a measurement CSV")
-    p.add_argument("--input", required=True,
-                   help="CSV: alpha_y_deg,alpha_z_deg,mass_index,Bx_mT,By_mT,Bz_mT")
-    p.add_argument("--standoff-m", type=float, default=0.16)
-    p.set_defaults(func=cmd_calibrate)
-
-    p = sub.add_parser("schedule", help="amplitude schedule along a fixed ray")
-    p.add_argument("--b-start", type=float, required=True, help="first target amplitude")
-    p.add_argument("--b-stop", type=float, required=True, help="last target amplitude")
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--ay", type=float, default=0.0, help="ray direction angle")
-    p.add_argument("--az", type=float, default=0.0, help="ray direction angle")
-    p.add_argument("--resolution-m", type=float, default=0.0005)
-    p.set_defaults(func=cmd_schedule)
-
-    p = sub.add_parser("partition", help="classify scan poses as reachable/forbidden")
-    add_grid(p)
-    p.set_defaults(func=cmd_partition)
-
-    p = sub.add_parser("replace", help="replace one collision-forbidden pose")
-    p.add_argument("--ay", type=float, required=True, help="forbidden pose angle")
-    p.add_argument("--az", type=float, required=True, help="forbidden pose angle")
-    p.add_argument("--standoff-m", type=float, default=0.16)
-    p.add_argument("--axis", choices=["y", "z"], default="y")
-    p.add_argument("--step-m", type=float, default=0.005)
-    p.add_argument("--max-steps", type=int, default=40)
-    p.set_defaults(func=cmd_replace)
-
-    p = sub.add_parser("odmr", help="synthetic ODMR spectrum CSV")
-    p.add_argument("--d-GHz", type=float, default=2.8704)
-    p.add_argument("--pi-MHz", type=float, default=1.8515)
-    p.add_argument("--gamma-GHz-per-T", type=float, default=GAMMA_E_DEFAULT * 1e-9)
-    p.add_argument("--bx", type=float, default=0.0, help="NV-frame field component")
-    p.add_argument("--by", type=float, default=0.0, help="NV-frame field component")
-    p.add_argument("--bz", type=float, default=0.0, help="NV-frame field component")
-    p.add_argument("--f-start-MHz", type=float, default=2700.0)
-    p.add_argument("--f-stop-MHz", type=float, default=3050.0)
-    p.add_argument("--points", type=int, default=1001)
-    p.add_argument("--linewidth-MHz", type=float, default=5.0)
-    p.add_argument("--depth", type=float, default=0.02)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.set_defaults(func=cmd_odmr)
-
-    p = sub.add_parser("fit-nv", help="fit NV axis orientation from a trajectory CSV")
-    p.add_argument("--input", required=True,
-                   help="CSV: alpha_yB_deg,alpha_zB_deg,f_minus_MHz,f_plus_MHz,B_hall_mT")
-    p.add_argument("--d-GHz", type=float, default=2.8704)
-    p.add_argument("--pi-MHz", type=float, default=1.8515)
-    p.add_argument("--gamma-GHz-per-T", type=float, default=GAMMA_E_DEFAULT * 1e-9)
-    p.set_defaults(func=cmd_fit_nv)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in command.flags:
+            _add_flag(p, flag, flag.default)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    for name, default in (("config", None), ("seed", None), ("out", None),
-                          ("units", "mT-deg")):
-        if not hasattr(args, name):
-            setattr(args, name, default)
+    # the common flags' defaults, unless given before or after the subcommand
+    defaults = argparse.Namespace(**{flag.name: flag.default for flag in COMMON})
+    args = build_parser().parse_args(argv, defaults)
     try:
-        if args.config:
-            config = load_config(args.config)
-        else:
-            config = config_from_dict({})
+        config = load_config(args.config) if args.config else config_from_dict({})
         if args.seed is not None:
             config = dataclasses.replace(config, seed=args.seed,
                                          resolved={**config.resolved, "seed": args.seed})
         _check_args(args, config)
-        units = Units(args.units)
-        return args.func(args, config, units)
+        COMMANDS[args.command].run(args, config, Units(args.units))
+        return 0
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -176,6 +176,8 @@ def jacobian(dh: DHTable, q: np.ndarray) -> np.ndarray:
 POS_TOL = 1e-4   # m
 ROT_TOL = 1e-3   # rad
 LIMIT_SLACK = 1e-6  # rad, closed-form IK angles this far outside a joint limit are clipped
+DLS_DAMPING = 0.01  # damping of inverse_kinematics' least-squares fallback
+DLS_MAX_ITER = 500  # iterations per start of that fallback
 
 
 def _pose_error(T_target: np.ndarray, T_current: np.ndarray) -> np.ndarray:
@@ -337,8 +339,6 @@ def inverse_kinematics(
     dh: DHTable,
     target: Pose,
     seed: np.ndarray = None,
-    damping: float = 0.01,
-    max_iter: int = 500,
     restarts: int = 40,
     rng: np.random.Generator = None,
 ) -> np.ndarray:
@@ -363,14 +363,14 @@ def inverse_kinematics(
     if np.linalg.norm(target.position) > reach:
         raise NoSolution(f"target at {np.linalg.norm(target.position):.3f} m exceeds reach {reach:.3f} m")
     T_target = target.matrix()
-    q = _dls_solve(dh, T_target, seed, damping, max_iter)
+    q = _dls_solve(dh, T_target, seed, DLS_DAMPING, DLS_MAX_ITER)
     if q is not None:
         return q
     if rng is None:
         rng = np.random.default_rng(0)
     for _ in range(restarts):
         q0 = rng.uniform(dh.q_min, dh.q_max)
-        q = _dls_solve(dh, T_target, q0, damping, max_iter)
+        q = _dls_solve(dh, T_target, q0, DLS_DAMPING, DLS_MAX_ITER)
         if q is not None:
             return q
     raise NoSolution("inverse kinematics did not converge within the iteration budget")

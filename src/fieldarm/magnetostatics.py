@@ -15,6 +15,7 @@ from .errors import ObserverInsideMaterial, ZeroDistance
 MU0 = 4.0e-7 * math.pi  # vacuum permeability, T m / A
 
 _BOUNDARY_TOL = 1e-9  # m, observer-inside-material detection
+CEL_TOL = 1e-12  # relative convergence tolerance of cel's iteration
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ class MagnetSpec:
         return math.pi * (self.outer_radius**2 - self.inner_radius**2) * self.length
 
 
-def cel(kc, p, c, s, tol=1e-12):
+def cel(kc, p, c, s):
     """Bulirsch generalised complete elliptic integral, vectorised.
 
     cel(kc, p, c, s) = int_0^{pi/2} (c cos^2 t + s sin^2 t) /
@@ -89,7 +90,7 @@ def cel(kc, p, c, s, tol=1e-12):
     kk = k.copy()
     # each element stops at its own convergence, so a batch gives the same
     # values as element-by-element calls
-    run = np.abs(g - k) > g * tol
+    run = np.abs(g - k) > g * CEL_TOL
     while np.any(run):
         k[run] = 2.0 * np.sqrt(kk[run])
         kk[run] = k[run] * em[run]
@@ -100,7 +101,7 @@ def cel(kc, p, c, s, tol=1e-12):
         pp[run] = gr + pp[run]
         g[run] = em[run]
         em[run] = k[run] + em[run]
-        run = np.abs(g - k) > g * tol
+        run = np.abs(g - k) > g * CEL_TOL
     return (math.pi / 2.0) * (ss + cc * em) / (em * (em + pp))
 
 

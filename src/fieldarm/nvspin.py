@@ -23,6 +23,8 @@ from .kinematics import unit_normal
 from .lsq import least_squares
 
 GAMMA_E_DEFAULT = 28.02495e9  # Hz/T, electron gyromagnetic ratio / 2pi
+FIT_GRID_SIZE = 12  # start angles per axis of fit_orientation's grid
+FIT_REFINE_STARTS = 5  # lowest-cost grid starts that fit_orientation refines
 
 # spin-1 operators in the {|+1>, |0>, |-1>} basis
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -107,9 +109,11 @@ def resonances(p: NVParams, B_nv) -> ResonancePair:
     """Transition frequencies from the ms=0-like state to the two others.
 
     The ms=0-like state is identified by maximal overlap with |0>; raises
-    StateMixingTooStrong when no eigenvector keeps >= 0.5 overlap.
+    StateMixingTooStrong when H overflows or no eigenvector keeps >= 0.5 overlap.
     """
     H = hamiltonian(p, B_nv)
+    if not np.all(np.isfinite(H)):
+        raise StateMixingTooStrong("Hamiltonian overflows; field or parameters too large")
     evals, evecs = np.linalg.eigh(H)
     overlaps = np.abs(evecs[_MS0_INDEX, :]) ** 2
     k = int(np.argmax(overlaps))
@@ -190,8 +194,7 @@ def field_polar_angle(alpha_y_B, alpha_z_B, alpha_y_nv, alpha_z_nv):
     return np.arccos(np.clip(c, 0.0, 1.0))
 
 
-def fit_orientation(trajectory, D, Pi, gamma_e=GAMMA_E_DEFAULT,
-                    grid_size=12, refine_starts=5) -> OrientationFit:
+def fit_orientation(trajectory, D, Pi, gamma_e=GAMMA_E_DEFAULT) -> OrientationFit:
     """Fit NV-axis angles and an effective |B| to normalised splittings.
 
     `trajectory` rows are (alpha_y_B, alpha_z_B, nu_n) with angles in rad and
@@ -215,7 +218,7 @@ def fit_orientation(trajectory, D, Pi, gamma_e=GAMMA_E_DEFAULT,
 
     # grid starts (ay outer, az inner), one row each; the mean splitting is
     # monotone in |B| at fixed angles, so every start's |B| is bisected at once
-    angles = np.linspace(0.0, np.pi, grid_size, endpoint=False)
+    angles = np.linspace(0.0, np.pi, FIT_GRID_SIZE, endpoint=False)
     ay0, az0 = (g.ravel() for g in np.meshgrid(angles, angles, indexing="ij"))
     gam = field_polar_angle(ay_B, az_B, ay0[:, None], az0[:, None])
     target = np.mean(nu)
@@ -231,7 +234,7 @@ def fit_orientation(trajectory, D, Pi, gamma_e=GAMMA_E_DEFAULT,
     order = np.argsort(np.einsum("ij,ij->i", r, r), kind="stable")
 
     best = None
-    for k in order[:refine_starts]:
+    for k in order[:FIT_REFINE_STARTS]:
         try:
             sol = least_squares(residual, [ay0[k], az0[k], B0[k]],
                                 xtol=1e-14, ftol=1e-14, gtol=1e-14)
@@ -291,13 +294,12 @@ def odmr_spectrum(p: NVParams, B_nv, linewidth, contrast_depth, grid,
     return OdmrSpectrum(grid, c, noise_sigma)
 
 
-def _two_deepest_minima(f, c, min_separation=None):
+def _two_deepest_minima(f, c):
     # smooth first so shot noise does not masquerade as a dip
     win = max(3, len(c) // 200)
     kernel = np.ones(win) / win
     cs = np.convolve(c, kernel, mode="same")
-    if min_separation is None:
-        min_separation = (f.max() - f.min()) / 20.0
+    min_separation = (f.max() - f.min()) / 20.0
     minima = []
     for i in range(1, len(cs) - 1):
         if cs[i] <= cs[i - 1] and cs[i] <= cs[i + 1]:

@@ -1,5 +1,7 @@
+import argparse
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +10,9 @@ import numpy as np
 import pytest
 import yaml
 
-from fieldarm.cli import main
+from fieldarm import cli
+from fieldarm.alignment import CalibrationResult
+from fieldarm.cli import build_parser, main
 from fieldarm.kinematics import magnet_pose_for_field_direction
 from fieldarm.magnetostatics import cylinder_field, default_magnet_spec
 from fieldarm.nvspin import (
@@ -257,6 +261,8 @@ def _scan_args(ay_steps="2", standoff="0.16"):
 
 
 SCHEDULE = ["schedule", "--b-start", "0.5", "--b-stop", "10", "--steps", "3"]
+BIG = str(10**30)
+CALIBRATION = "<calibration csv>"  # the test writes a valid measurement CSV in its place
 
 
 @pytest.mark.parametrize("argv", [
@@ -281,18 +287,166 @@ SCHEDULE = ["schedule", "--b-start", "0.5", "--b-stop", "10", "--steps", "3"]
     ["--config", WALLED, "replace", "--ay", "30", "--az", "53", "--step-m", "-1"],
     ["--config", WALLED, "replace", "--ay", "30", "--az", "53", "--max-steps", "0"],
     ["odmr", "--noise", "-1"],
+    _scan_args() + [f"--ay-steps={BIG}"],
+    _scan_args() + [f"--az-steps={BIG}"],
+    ["partition"] + _scan_args()[1:] + [f"--ay-steps={BIG}"],
+    ["partition"] + _scan_args()[1:] + [f"--az-steps={BIG}"],
+    SCHEDULE + [f"--steps={BIG}"],
+    ["odmr", f"--points={BIG}"],
+    _scan_args() + ["--standoff-m=1e300"],
+    ["calibrate", "--input", CALIBRATION, "--standoff-m=1e300"],
+    SCHEDULE + ["--resolution-m=1e300"],
+    ["odmr", "--linewidth-MHz=1e300"],
+    ["odmr", "--d-GHz=1e300"],
+    ["odmr", "--gamma-GHz-per-T=1e300"],
 ], ids=["scan-steps-0", "schedule-steps-0", "odmr-points-0", "schedule-resolution-0",
         "odmr-linewidth-0", "scan-standoff-nan", "schedule-ay-nan", "schedule-b-stop-inf",
         "odmr-bz-nan", "scan-standoff-in-magnet", "replace-standoff-in-magnet",
         "odmr-depth-1.5", "odmr-depth-0", "odmr-d-0", "odmr-pi-negative", "odmr-gamma-0",
         "seed-negative", "replace-step-0", "replace-step-negative", "replace-max-steps-0",
-        "odmr-noise-negative"])
+        "odmr-noise-negative", "scan-ay-steps-1e30", "scan-az-steps-1e30",
+        "partition-ay-steps-1e30", "partition-az-steps-1e30", "schedule-steps-1e30",
+        "odmr-points-1e30", "scan-standoff-1e300", "calibrate-standoff-1e300",
+        "schedule-resolution-1e300", "odmr-linewidth-1e300", "odmr-d-1e300",
+        "odmr-gamma-1e300"])
 def test_out_of_range_argument_exit_2(tmp_path, capsys, argv):
+    if CALIBRATION in argv:
+        _write_calibration_csv(tmp_path / "cal.csv")
+        argv = [str(tmp_path / "cal.csv") if a == CALIBRATION else a for a in argv]
     out = tmp_path / "artefact"
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()
+
+
+def _write_input_csv(command, path):
+    if command == "calibrate":
+        _write_calibration_csv(path)
+    else:
+        _write_trajectory_csv(path, [75.0, 95.0, 115.0, 135.0, 85.0, 125.0],
+                              list(np.linspace(52.0, 77.0, 6)))
+
+
+def _set_cell(column, value):
+    def edit(rows):
+        rows[1][rows[0].index(column)] = value
+        return rows
+    return edit
+
+
+def _swap_resonances(rows):
+    i, j = rows[0].index("f_minus_MHz"), rows[0].index("f_plus_MHz")
+    rows[1][i], rows[1][j] = rows[1][j], rows[1][i]
+    return rows
+
+
+@pytest.mark.parametrize("command, edit", [
+    ("calibrate", _set_cell("Bx_mT", "nan")),
+    ("calibrate", _set_cell("mass_index", "0.5")),
+    ("calibrate", lambda rows: rows[:1]),
+    ("fit-nv", _swap_resonances),
+    ("fit-nv", _set_cell("f_plus_MHz", "nan")),
+], ids=["calibrate-field-nan", "calibrate-mass-index-fraction", "calibrate-header-only",
+        "fit-nv-swapped-pair", "fit-nv-frequency-nan"])
+def test_out_of_domain_csv_exit_2(tmp_path, capsys, command, edit):
+    path = tmp_path / "input.csv"
+    _write_input_csv(command, path)
+    with open(path, newline="") as fh:
+        rows = edit(list(csv.reader(fh)))
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    out = tmp_path / "artefact"
+    assert main([command, "--input", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["calibrate", "fit-nv"])
+def test_unreadable_input_exit_2(tmp_path, capsys, command):
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(b"\xb0\xff\x00" * 10)
+    for path in (tmp_path, binary):  # a directory, and bytes that are not UTF-8
+        assert main([command, "--input", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["odmr", "--points", "11", "--f-stop-MHz=1e303"],
+    ["odmr", "--points", "11", "--pi-MHz=1e305"],
+], ids=["odmr-grid-overflows", "odmr-hamiltonian-overflows"])
+def test_non_finite_result_exit_1(tmp_path, capsys, argv):
+    out = tmp_path / "artefact"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "error" in json.loads(out.read_text())
+
+
+def test_non_finite_json_value_exit_1(tmp_path, monkeypatch):
+    path, out = tmp_path / "cal.csv", tmp_path / "cal.json"
+    _write_calibration_csv(path)
+    monkeypatch.setattr(cli, "calibrate_offsets",
+                        lambda *a: CalibrationResult(math.nan, np.zeros(2), 0.0))
+    assert main(["calibrate", "--input", str(path), "--out", str(out)]) == 1
+    assert "error" in json.loads(out.read_text())
+
+
+FUZZ_VALUES = {int: ["0", "-1", BIG], float: ["0", "-1", BIG, "nan", "inf", "-inf", "1e300"]}
+SUBCOMMANDS = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _numbers(text):
+    """Every float in a JSON or CSV artefact, JSON's NaN and Infinity included."""
+    found = []
+    if text.startswith("{"):
+        json.loads(text, parse_float=lambda s: found.append(float(s)),
+                   parse_constant=lambda s: found.append(float(s)))
+        return found
+    for row in csv.reader(ln for ln in text.splitlines() if not ln.startswith("#")):
+        for cell in row:
+            try:
+                found.append(float(cell))
+            except ValueError:  # a column name or a status
+                pass
+    return found
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_numeric_flags_refuse_or_give_finite_artefacts(tmp_path, capsys, command):
+    """Each int and float flag has a declared domain; at the edges of every
+    domain main exits 0 with a finite artefact, 1, or 2 with no artefact."""
+    declared = {flag.name: flag for flag in cli.COMMON + cli.COMMANDS[command].flags}
+    if command in ("calibrate", "fit-nv"):
+        _write_input_csv(command, tmp_path / "input.csv")
+        base = [command, "--input", str(tmp_path / "input.csv")]
+    else:
+        base = {"scan": _scan_args(), "partition": ["partition"] + _scan_args()[1:],
+                "schedule": SCHEDULE, "replace": ["replace", "--ay", "20", "--az", "30"],
+                "odmr": ["odmr", "--points", "11"]}[command]
+    escapes = []
+    for action in SUBCOMMANDS[command]._actions:
+        if action.type not in FUZZ_VALUES:
+            continue
+        flag = action.option_strings[0]
+        assert declared[action.dest].domain is not None, f"{command} {flag} has no domain"
+        for value in FUZZ_VALUES[action.type]:
+            out = tmp_path / "artefact"
+            if out.exists():
+                out.unlink()
+            try:
+                rc = main(base + [f"{flag}={value}", "--out", str(out)])
+            except Exception as exc:
+                escapes.append(f"{flag}={value}: {type(exc).__name__}: {exc}")
+                continue
+            if rc not in (0, 1, 2) or (rc == 2 and out.exists()) or (
+                    rc == 0 and not all(map(math.isfinite, _numbers(out.read_text())))):
+                escapes.append(f"{flag}={value}: exit {rc}")
+    capsys.readouterr()
+    assert not escapes
 
 
 def test_negative_config_seed_exit_2(tmp_path, capsys):
