@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .environment import FeasibilityStatus, build_trees, feasibility_batch, pose_feasibility
 from .errors import (
     FinalPoseForbidden,
     InsufficientData,
@@ -220,6 +219,9 @@ def replace_forbidden_pose(forbidden: Pose, sample, spec: MagnetSpec, env, dh,
     a table without a spherical wrist checks them one at a time, since its
     DLS search depends on the IK seed that each check passes on.
     """
+    # deferred: of the alignment steps, only replace loads the collision layer
+    from .environment import FeasibilityStatus, build_trees, feasibility_batch, pose_feasibility
+
     if displacement_axis not in ("y", "z"):
         raise ValueError("displacement_axis must be 'y' or 'z'")
     sample = np.asarray(sample, dtype=float)

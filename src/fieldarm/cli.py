@@ -13,6 +13,9 @@ choices, default, help, Domain; an input CSV's columns with their Domains).
 The parser and --help, the checks in _check_args (a value outside its
 domain is exit 2) and a CSV artefact's `# args` header all read these
 entries. A non-finite number never reaches an artefact: that is exit 1.
+
+A subcommand imports only the layers it runs: environment (collision) for
+partition, replace and a config with meshes; nvspin for odmr and fit-nv.
 """
 
 import argparse
@@ -39,16 +42,9 @@ from .alignment import (
     sphere_segment_scan,
 )
 from .config import RunConfig, load_config, config_from_dict
-from .environment import partition_pose_dictionary
 from .errors import ConfigError, FieldArmError, InsufficientData, ParseError, UsageError
 from .kinematics import Pose, magnet_pose_for_field_direction, unit_normal
-from .nvspin import (
-    GAMMA_E_DEFAULT,
-    NVParams,
-    fit_orientation,
-    normalize_splittings,
-    odmr_spectrum,
-)
+from .magnetostatics import GAMMA_E_DEFAULT
 
 _USAGE_ERRORS = (ConfigError, ParseError, InsufficientData, UsageError)
 
@@ -302,6 +298,7 @@ def cmd_schedule(args, config: RunConfig, units: Units):
 
 
 def cmd_partition(args, config: RunConfig, units: Units):
+    from .environment import partition_pose_dictionary  # deferred: only partition loads it
     points = _scan_points(args, config, units)
     results = partition_pose_dictionary([pt.pose for pt in points], config.dh,
                                         config.environment, random_seed=config.seed)
@@ -338,6 +335,7 @@ def cmd_replace(args, config: RunConfig, units: Units):
 
 
 def cmd_odmr(args, config: RunConfig, units: Units):
+    from .nvspin import NVParams, odmr_spectrum  # deferred: only odmr and fit-nv load nvspin
     params = NVParams(D=args.d_GHz * 1e9, Pi=args.pi_MHz * 1e6,
                       gamma_e=args.gamma_GHz_per_T * 1e9)
     B_nv = np.array([units.field_in(b) for b in (args.bx, args.by, args.bz)])
@@ -349,6 +347,8 @@ def cmd_odmr(args, config: RunConfig, units: Units):
 
 
 def cmd_fit_nv(args, config: RunConfig, units: Units):
+    # deferred: only odmr and fit-nv load nvspin
+    from .nvspin import fit_orientation, normalize_splittings
     splittings = np.array([(r["f_plus_MHz"] - r["f_minus_MHz"]) * 1e6 for r in args.rows])
     magnitudes = np.array([r["B_hall_mT"] * 1e-3 for r in args.rows])
     nu_n = normalize_splittings(splittings, magnitudes)

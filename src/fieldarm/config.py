@@ -24,17 +24,21 @@ Mesh paths resolve relative to the config file's directory. Missing `dh`
 or `magnet` blocks fall back to the nominal defaults.
 """
 
+import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
 
-from .environment import load_mesh
 from .errors import ConfigError
 from .kinematics import DHTable, N_JOINTS, default_dh_table
 from .magnetostatics import MagnetSpec, default_magnet_spec
 from .rotations import euler_to_matrix
+
+# libyaml's parser where PyYAML was built with it; it pairs the same Python
+# resolver with the safe constructor, so it gives the same data as SafeLoader
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 _JOINT_FIELDS = ("a_m", "alpha_rad", "d_m", "theta_offset_rad", "q_min_rad", "q_max_rad")
 
@@ -51,9 +55,12 @@ class RunConfig:
 
 def _number(raw, where):
     try:
-        return float(raw)
+        value = float(raw)
     except (TypeError, ValueError):
         raise ConfigError(f"{where}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _vector3(raw, where):
@@ -119,6 +126,7 @@ def _parse_magnet(block) -> MagnetSpec:
 
 
 def _parse_environment(block, base_dir):
+    from .environment import load_mesh  # deferred: only a config with meshes loads it
     if not isinstance(block, list):
         raise ConfigError("environment: expected a list of mesh records")
     meshes = []
@@ -194,9 +202,11 @@ def load_config(path) -> RunConfig:
     """Load and validate a YAML run configuration file."""
     try:
         with open(path) as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=YAML_LOADER)
     except FileNotFoundError:
         raise ConfigError(f"configuration file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read configuration file {path}: {exc}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from None
     if data is None:

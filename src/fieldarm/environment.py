@@ -136,8 +136,11 @@ def _parse_stl_ascii(lines, name):
 def load_mesh(path) -> TriangleMesh:
     """Load an ASCII STL or OFF mesh file; validates geometry."""
     path = str(path)
-    with open(path, "r") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read mesh file {path}: {exc}") from None
     if not lines:
         raise ParseError("empty file", line=1)
     head = lines[0].strip()

@@ -340,7 +340,7 @@ def inverse_kinematics(
     target: Pose,
     seed: np.ndarray = None,
     restarts: int = 40,
-    rng: np.random.Generator = None,
+    rng: "np.random.Generator" = None,  # a string: evaluated, it imports numpy.random
 ) -> np.ndarray:
     """Joint configuration reaching `target` within POS_TOL/ROT_TOL.
 

@@ -13,6 +13,7 @@ import numpy as np
 from .errors import ObserverInsideMaterial, ZeroDistance
 
 MU0 = 4.0e-7 * math.pi  # vacuum permeability, T m / A
+GAMMA_E_DEFAULT = 28.02495e9  # Hz/T, electron gyromagnetic ratio / 2pi
 
 _BOUNDARY_TOL = 1e-9  # m, observer-inside-material detection
 CEL_TOL = 1e-12  # relative convergence tolerance of cel's iteration

@@ -21,8 +21,8 @@ from .errors import (
 )
 from .kinematics import unit_normal
 from .lsq import least_squares
+from .magnetostatics import GAMMA_E_DEFAULT
 
-GAMMA_E_DEFAULT = 28.02495e9  # Hz/T, electron gyromagnetic ratio / 2pi
 FIT_GRID_SIZE = 12  # start angles per axis of fit_orientation's grid
 FIT_REFINE_STARTS = 5  # lowest-cost grid starts that fit_orientation refines
 

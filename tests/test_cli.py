@@ -23,7 +23,10 @@ from fieldarm.nvspin import (
 
 from conftest import CONFIG_DIR, SAMPLE, STANDOFF
 
+DEFAULT = os.path.join(CONFIG_DIR, "default.yaml")
 WALLED = os.path.join(CONFIG_DIR, "walled.yaml")
+WALL_OFF = os.path.join(CONFIG_DIR, "wall.off")
+NOT_UTF8 = b"\xb0\xff\x00" * 10
 
 
 def read_artifact_csv(path):
@@ -366,11 +369,43 @@ def test_out_of_domain_csv_exit_2(tmp_path, capsys, command, edit):
 @pytest.mark.parametrize("command", ["calibrate", "fit-nv"])
 def test_unreadable_input_exit_2(tmp_path, capsys, command):
     binary = tmp_path / "binary.csv"
-    binary.write_bytes(b"\xb0\xff\x00" * 10)
+    binary.write_bytes(NOT_UTF8)
     for path in (tmp_path, binary):  # a directory, and bytes that are not UTF-8
         assert main([command, "--input", str(path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def _written(path, content: bytes):
+    path.write_bytes(content)
+    return str(path)
+
+
+def _walled_with(tmp_path, mesh, **first_joint):
+    """configs/walled.yaml with another mesh path and first_joint's fields replaced."""
+    with open(WALLED) as fh:
+        data = yaml.safe_load(fh)
+    data["environment"][0]["mesh"] = mesh
+    data["dh"]["joints"][0].update(first_joint)
+    return _written(tmp_path / "walled.yaml", yaml.safe_dump(data).encode())
+
+
+@pytest.mark.parametrize("write_config, command", [
+    (lambda tmp: str(tmp), _scan_args()),
+    (lambda tmp: _written(tmp / "run.yaml", b"seed: 1\n" + NOT_UTF8), _scan_args()),
+    (lambda tmp: _walled_with(tmp, _written(tmp / "wall.off", b"OFF\n" + NOT_UTF8)),
+     ["partition"] + _scan_args()[1:]),
+    (lambda tmp: _walled_with(tmp, str(tmp)), ["partition"] + _scan_args()[1:]),
+    (lambda tmp: _written(tmp / "run.yaml", b"sample_m: [.nan, 0.0, 0.3]\n"), _scan_args()),
+    (lambda tmp: _walled_with(tmp, WALL_OFF, a_m=math.nan), ["partition"] + _scan_args()[1:]),
+], ids=["config-is-a-directory", "config-not-utf8", "mesh-not-utf8", "mesh-is-a-directory",
+        "sample-nan", "first-joint-a-nan"])
+def test_unreadable_or_non_finite_config_exit_2(tmp_path, capsys, write_config, command):
+    out = tmp_path / "artefact"
+    assert main(["--config", write_config(tmp_path)] + command + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -467,6 +502,14 @@ def test_unknown_units_exit_2():
     assert exc.value.code == 2
 
 
+def _run_fresh(script, *argv):
+    """stdout of `script` run in a fresh interpreter that imports fieldarm from src/."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
 def test_fits_import_no_scipy(tmp_path):
     cal, traj = tmp_path / "cal.csv", tmp_path / "traj.csv"
     _write_calibration_csv(cal)
@@ -479,8 +522,34 @@ def test_fits_import_no_scipy(tmp_path):
         f"assert main(['fit-nv', '--input', {str(traj)!r}, '--out', {str(tmp_path / 'f')!r}]) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    assert _run_fresh(script).strip() == "[]"
+
+
+NOT_RUN = ("fieldarm.environment", "fieldarm.nvspin", "numpy.random")
+TRAJECTORY = "<trajectory csv>"  # the test writes a valid trajectory CSV in its place
+
+
+@pytest.mark.parametrize("argv, absent", [
+    ([], NOT_RUN),
+    (["--config", DEFAULT] + _scan_args(), NOT_RUN),
+    (["--config", DEFAULT] + SCHEDULE, NOT_RUN),
+    (["--config", DEFAULT, "calibrate", "--input", CALIBRATION], NOT_RUN),
+    (["fit-nv", "--input", TRAJECTORY], ("fieldarm.environment", "numpy.random")),
+    (["--config", WALLED, "partition"] + _scan_args()[1:], ("fieldarm.nvspin",)),
+], ids=["import-cli", "scan", "schedule", "calibrate", "fit-nv", "partition"])
+def test_commands_import_only_the_layers_they_run(tmp_path, argv, absent):
+    """`import fieldarm.cli`, or one command, in a fresh interpreter: the
+    layers it does not run stay out of sys.modules."""
+    _write_input_csv("calibrate", tmp_path / "cal.csv")
+    _write_input_csv("fit-nv", tmp_path / "traj.csv")
+    paths = {CALIBRATION: str(tmp_path / "cal.csv"), TRAJECTORY: str(tmp_path / "traj.csv")}
+    argv = [paths.get(a, a) for a in argv] + (["--out", str(tmp_path / "out")] if argv else [])
+    script = ("import json, sys\n"
+              "import fieldarm.cli\n"
+              "argv = json.loads(sys.argv[1])\n"
+              "if argv and fieldarm.cli.main(argv) != 0:\n"
+              "    sys.exit('the command failed')\n"
+              "print(json.dumps(sorted(sys.modules)))\n")
+    loaded = set(json.loads(_run_fresh(script, json.dumps(argv))))
+    assert "fieldarm.cli" in loaded
+    assert not loaded.intersection(absent)

@@ -1,10 +1,16 @@
+import os
+
 import numpy as np
 import pytest
 import yaml
 
+from fieldarm import config
 from fieldarm.config import config_from_dict, load_config
 from fieldarm.errors import ConfigError
 from fieldarm.kinematics import default_dh_table
+
+from conftest import CONFIG_DIR
+from test_bench_workloads import ROOT, workloads
 
 
 def test_load_default_config(default_config_path):
@@ -44,6 +50,29 @@ def test_invalid_yaml_is_config_error(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("dh: [unclosed")
     with pytest.raises(ConfigError):
+        load_config(str(path))
+
+
+def _bench_mesh_config(tmp_path):
+    """The tessellated-wall config as the benchmark writes it (yaml.safe_dump)."""
+    inputs = workloads.Inputs(ROOT, str(tmp_path), 1, "full")
+    return workloads.plan_mesh_workload(inputs)[0]
+
+
+@pytest.mark.parametrize("name", ["default.yaml", "walled.yaml", "bench-mesh"])
+def test_libyaml_loader_matches_safe_loader(tmp_path, monkeypatch, name):
+    path = _bench_mesh_config(tmp_path) if name == "bench-mesh" else os.path.join(CONFIG_DIR, name)
+    assert config.YAML_LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+    fast = load_config(path).resolved
+    monkeypatch.setattr(config, "YAML_LOADER", yaml.SafeLoader)
+    assert load_config(path).resolved == fast
+
+
+@pytest.mark.parametrize("text", [".nan", ".inf", "-.inf", "1e400"])
+def test_non_finite_numbers_are_config_errors(tmp_path, text):
+    path = tmp_path / "non-finite.yaml"
+    path.write_text(f"sample_m: [0.2, {text}, 0.3]\n")
+    with pytest.raises(ConfigError, match=r"sample_m\[1\]: expected a finite number"):
         load_config(str(path))
 
 
