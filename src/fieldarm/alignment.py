@@ -31,6 +31,7 @@ from .magnetostatics import MagnetSpec, cylinder_field, inverse_dipole
 
 SIMILARITY_SCALE_MT = 3.0  # Gaussian kernel length scale, millitesla
 SCHEDULE_MAX_DISTANCE_M = 0.6  # far end of the ray amplitude_schedule searches
+BISECT_LEVELS = 5  # bisection levels decided per magnitude evaluation
 
 
 @dataclass(frozen=True)
@@ -137,14 +138,45 @@ def calibrate_offsets(measured, spec: MagnetSpec, sample, standoff) -> Calibrati
     )
 
 
+def bisect_decreasing(magnitude, targets, lo, hi, tol):
+    """Bisect brackets [lo, hi] of a decreasing magnitude until hi - lo <= tol.
+
+    Where magnitude(mid) > target, `lo` moves up to mid; elsewhere `hi` moves
+    down to it. Each call of `magnitude` gets, for every open bracket, the
+    2^k - 1 midpoints of the next k = BISECT_LEVELS levels as an (n, 2^k - 1)
+    array: a breadth-first tree whose node i has children 2i + 1 (lo = mid)
+    and 2i + 2 (hi = mid). Walking the tree takes the decisions, and returns
+    the brackets, of a loop that bisects one level per call.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    targets = np.broadcast_to(targets, lo.shape)
+    while (open_ := np.flatnonzero(hi - lo > tol)).size:
+        l, h = lo[open_], hi[open_]
+        tree_lo, tree_hi, mids = l[:, None], h[:, None], []
+        for _ in range(BISECT_LEVELS):
+            mids.append((tree_lo + tree_hi) / 2.0)
+            tree_lo = np.stack([mids[-1], tree_lo], axis=-1).reshape(len(l), -1)
+            tree_hi = np.stack([tree_hi, mids[-1]], axis=-1).reshape(len(l), -1)
+        mid = np.concatenate(mids, axis=1)
+        above = magnitude(mid) > targets[open_, None]
+        rows, node = np.arange(len(l)), np.zeros(len(l), dtype=int)
+        for _ in range(BISECT_LEVELS):
+            live, up, m = h - l > tol, above[rows, node], mid[rows, node]
+            l = np.where(live & up, m, l)
+            h = np.where(live & ~up, m, h)
+            node = 2 * node + 2 - up
+        lo[open_], hi[open_] = l, h
+    return lo, hi
+
+
 def amplitude_schedule(targets, spec: MagnetSpec, direction, sample,
                        resolution=0.0005) -> AmplitudeSchedule:
     """Pick magnet distances realising each target amplitude on a fixed ray.
 
     Inverts the monotone |B|(r) curve by bisection (1e-9 m), run on all
-    targets at once, snaps each distance to the robot resolution grid, and
-    reports the achieved field and signed error. The error bound is the
-    worst case over the snap window: with h = resolution / 2,
+    targets at once by bisect_decreasing, snaps each distance to the robot
+    resolution grid, and reports the achieved field and signed error. The
+    error bound is the worst case over the snap window: with h = resolution / 2,
     max(|B|(max(r_min, r - h)) - t, t - |B|(r + h)), which |error| never
     exceeds because |B|(r) falls monotonically.
     """
@@ -166,16 +198,8 @@ def amplitude_schedule(targets, spec: MagnetSpec, direction, sample,
         raise TargetUnreachable(
             f"target {t:.4e} T outside achievable [{B_lo:.4e}, {B_hi:.4e}] T"
         )
-    lo = np.full_like(targets, r_min)
-    hi = np.full_like(targets, SCHEDULE_MAX_DISTANCE_M)
-    while True:
-        active = hi - lo > 1e-9
-        if not np.any(active):
-            break
-        mid = (lo + hi) / 2.0
-        above = magnitude(mid) > targets
-        lo = np.where(active & above, mid, lo)
-        hi = np.where(active & ~above, mid, hi)
+    lo, hi = bisect_decreasing(magnitude, targets, np.full_like(targets, r_min),
+                               np.full_like(targets, SCHEDULE_MAX_DISTANCE_M), 1e-9)
     r_exact = (lo + hi) / 2.0
     distances = np.maximum(r_min, quantize_position(r_exact, resolution))
     h = resolution / 2.0
@@ -212,7 +236,8 @@ def replace_forbidden_pose(forbidden: Pose, sample, spec: MagnetSpec, env, dh,
     pose is reachable; (iii) re-orient the magnet along the inverse-dipole
     moment for the new displacement so the field direction is recovered;
     (iv) slide the magnet along the magnet-sample ray (cube-root initial
-    guess, then bisection on the cylinder model) to recover the magnitude.
+    guess, then bisect_decreasing on the cylinder model) to recover the
+    magnitude.
     A pose counts as reachable when feasibility_batch says so; the IK seed
     starts at home and `rng` drives its DLS fallback. The displacement
     candidates, in (step, sign) order, are checked REPLACE_CHUNK at a time;
@@ -260,23 +285,22 @@ def replace_forbidden_pose(forbidden: Pose, sample, spec: MagnetSpec, env, dh,
         r_hat = r_vec / r0
         n = rotated.axis
 
-        def mag_at(dist):
-            return float(np.linalg.norm(cylinder_field(spec, sample - dist * r_hat, n, sample)))
+        # |B| row by row: norm(axis=-1) sums in another order, and a last-bit
+        # difference could change the search's decisions
+        def magnitude(dist):
+            B = cylinder_field(spec, sample - np.asarray(dist)[..., None] * r_hat, n, sample)
+            return np.array([float(np.linalg.norm(b)) for b in B.reshape(-1, 3)]
+                            ).reshape(np.shape(dist))
 
         B_rot = cylinder_field(spec, rotated.position, n, sample)
         r_guess = r0 * (np.linalg.norm(B_rot) / target_mag) ** (1.0 / 3.0)
         lo = max(r_guess / 2.0, r_clear)
         hi = r_guess * 2.0
-        while mag_at(hi) > target_mag and hi < MAX_DISTANCE_M:
+        while magnitude(hi) > target_mag and hi < MAX_DISTANCE_M:
             hi *= 1.5
-        while mag_at(lo) < target_mag and lo / 1.5 > r_clear:
+        while magnitude(lo) < target_mag and lo / 1.5 > r_clear:
             lo = max(lo / 1.5, r_clear)
-        while hi - lo > MAGNITUDE_TOL_M:
-            mid = (lo + hi) / 2.0
-            if mag_at(mid) > target_mag:
-                lo = mid
-            else:
-                hi = mid
+        (lo,), (hi,) = bisect_decreasing(magnitude, target_mag, [lo], [hi], MAGNITUDE_TOL_M)
         final = rotated.with_position(sample - ((lo + hi) / 2.0) * r_hat)
         if not feasible(final):
             return None

@@ -168,11 +168,6 @@ def forward_kinematics(dh: DHTable, q: np.ndarray) -> Pose:
     return Pose.from_matrix(fk_matrix(dh, q))
 
 
-def jacobian(dh: DHTable, q: np.ndarray) -> np.ndarray:
-    """Geometric 6x6 Jacobian (linear on top, angular below) at the TCP."""
-    return _jacobian_from_frames(frame_chain(dh, q))
-
-
 POS_TOL = 1e-4   # m
 ROT_TOL = 1e-3   # rad
 LIMIT_SLACK = 1e-6  # rad, closed-form IK angles this far outside a joint limit are clipped
@@ -188,6 +183,7 @@ def _pose_error(T_target: np.ndarray, T_current: np.ndarray) -> np.ndarray:
 
 
 def _jacobian_from_frames(frames) -> np.ndarray:
+    """Geometric 6x6 Jacobian (linear on top, angular below) at the TCP."""
     p_tcp = frames[-1][:3, 3]
     J = np.empty((6, N_JOINTS))
     for i in range(N_JOINTS):

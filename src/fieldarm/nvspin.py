@@ -367,7 +367,10 @@ def nv_frame_rotation(p: NVParams) -> np.ndarray:
 
     Gauge: the NV x-axis is the world z-axis projected into the plane
     transverse to the NV axis (world x projected when the two are parallel).
-    Splittings are gauge-independent; only the transverse phase changes.
+    The gauge fixes the strain azimuth: the Hamiltonian's Pi (Sx^2 - Sy^2)
+    term acts along these x and y axes, so for Pi > 0 turning the frame about
+    the NV axis changes the splittings. Only for Pi = 0 are they
+    gauge-independent.
     """
     n = unit_normal(p.axis_alpha_y, p.axis_alpha_z)
     ref = np.array([0.0, 0.0, 1.0])

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fieldarm import alignment
 from fieldarm.alignment import (
+    BISECT_LEVELS,
     amplitude_schedule,
+    bisect_decreasing,
     angular_error,
     calibrate_offsets,
     replace_forbidden_pose,
@@ -28,7 +31,9 @@ from fieldarm.kinematics import (
 )
 from fieldarm.magnetostatics import cylinder_field, inverse_dipole
 
-from conftest import SAMPLE, STANDOFF
+from fieldarm.cli import main
+
+from conftest import CONFIG_DIR, SAMPLE, STANDOFF
 
 
 def test_scan_single_point_geometry(spec):
@@ -241,3 +246,54 @@ def test_transverse_minimum_at_inverse_dipole_angle(spec):
         transverse.append(np.linalg.norm(B - (B @ t_hat) * t_hat))
     d_min = deltas[int(np.argmin(transverse))]
     assert abs(np.rad2deg(d_min)) < 1.0
+
+
+def _bisect_one_level(magnitude, targets, lo, hi, tol):
+    """Reference: the loop that bisects every open bracket one level per call."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    while np.any(active := hi - lo > tol):
+        mid = (lo + hi) / 2.0
+        above = magnitude(mid) > targets
+        lo = np.where(active & above, mid, lo)
+        hi = np.where(active & ~above, mid, hi)
+    return lo, hi
+
+
+brackets = st.lists(st.tuples(st.floats(0.01, 1.0),
+                              st.one_of(st.just(0.0), st.floats(1e-12, 2.0)),
+                              st.floats(0.0, 2e3)), min_size=1, max_size=6)
+
+
+@given(brackets, st.sampled_from([1e-12, 1e-9, 1e-4, 0.3, 5.0]))
+@example([(0.1, 0.0, 1.0), (0.1, 1e-9, 1.0)], 1e-9)     # converged before the first call
+@example([(0.2, 0.5, 10.0), (0.2, 0.5 * 2.0 ** -7, 10.0)], 1e-3)  # ends mid-block
+@example([(0.2, 0.5, 10.0)], 5.0)                      # tolerance wider than the bracket
+@example([(0.25, 0.25, 10.0), (0.25, 0.25, 1.0)], 2.0**-5)  # a width reaches tol exactly
+@settings(max_examples=100, deadline=None)
+def test_block_bisection_matches_one_level_loop(rows, tol):
+    lo = np.array([r[0] for r in rows])
+    hi = lo + np.array([r[1] for r in rows])
+    targets = np.array([r[2] for r in rows])
+    calls = []
+
+    def magnitude(r):  # decreasing in r > 0
+        calls.append(np.shape(r))
+        return 1.0 / r**3
+
+    got = bisect_decreasing(magnitude, targets, lo, hi, tol)
+    want = _bisect_one_level(lambda r: 1.0 / r**3, targets, lo, hi, tol)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert all(shape[1] == 2**BISECT_LEVELS - 1 for shape in calls)
+
+
+def test_replace_batches_its_magnitude_search(monkeypatch, tmp_path):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return cylinder_field(*args)
+
+    monkeypatch.setattr(alignment, "cylinder_field", counted)
+    assert main(["--config", f"{CONFIG_DIR}/walled.yaml", "replace", "--ay", "30", "--az", "53",
+                 "--axis", "y", "--standoff-m", "0.16", "--out", str(tmp_path / "plan.json")]) == 0
+    assert len(calls) <= 12  # 33 with one field evaluation per bisection level

@@ -1,0 +1,45 @@
+"""Golden artefacts: the README's field commands reproduce committed bytes.
+
+The copies in `tests/golden/` were written by `golden_artefact` with numpy
+GOLDEN_NUMPY. Absolute paths of the bundled configs (the mesh path in the
+walled configuration) are the only part normalised. numpy's ufunc rounding
+may differ between versions, so another version skips these checks.
+"""
+
+import os
+
+import numpy as np
+import pytest
+
+from fieldarm.cli import main
+
+from conftest import CONFIG_DIR
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+GOLDEN_NUMPY = "2.4.6"
+CASES = {
+    "scan.csv": ["scan", "--ay-start", "0", "--ay-stop", "90", "--ay-steps", "19",
+                 "--az-start", "0", "--az-stop", "90", "--az-steps", "19",
+                 "--standoff-m", "0.16"],
+    "schedule.csv": ["schedule", "--b-start", "0.5", "--b-stop", "10", "--steps", "20"],
+    "cal.json": ["calibrate", "--input", os.path.join(GOLDEN_DIR, "measurements.csv"),
+                 "--standoff-m", "0.16"],
+    "plan.json": ["--config", os.path.join(CONFIG_DIR, "walled.yaml"), "replace",
+                  "--ay", "30", "--az", "53", "--axis", "y"],
+}
+
+
+def golden_artefact(name, out_dir):
+    """Run CASES[name] through the CLI into `out_dir`; the normalised artefact text."""
+    out = os.path.join(out_dir, name)
+    assert main(CASES[name] + ["--out", out]) == 0
+    with open(out) as fh:
+        return fh.read().replace(os.path.abspath(CONFIG_DIR), "<configs>")
+
+
+@pytest.mark.skipif(np.__version__ != GOLDEN_NUMPY,
+                    reason=f"golden artefacts were made with numpy {GOLDEN_NUMPY}")
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_artefact_matches_golden_copy(name, tmp_path):
+    with open(os.path.join(GOLDEN_DIR, name)) as fh:
+        assert golden_artefact(name, str(tmp_path)) == fh.read()

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ellipe, ellipk
 
@@ -18,6 +18,8 @@ from fieldarm.magnetostatics import (
     equivalent_dipole,
     inverse_dipole,
 )
+
+import field_oracle
 
 
 # --- surface-charge quadrature oracle -------------------------------------
@@ -214,3 +216,41 @@ def test_batch_matches_row_by_row(rows, bad_row):
     observers[k] = centres[k] + 0.011 * _unit(side)
     with pytest.raises(ObserverInsideMaterial):
         cylinder_field(spec, centres, axes, observers)
+
+
+ORACLE_SPECS = {"solid": MagnetSpec(0.015, 0.0, 0.06, 1.0e6), "hollow": default_magnet_spec()}
+axial_points = st.lists(st.tuples(st.floats(0.0, 0.1), st.floats(-0.1, 0.1),
+                                  st.floats(0.0, 2.0 * math.pi)), min_size=1, max_size=12)
+Z_AXIS = [0.0, 0.0, 1.0]
+
+
+@given(st.sampled_from(sorted(ORACLE_SPECS)), axial_points, unit_box, unit_box)
+@example("solid", [(0.0, 0.05, 0.0)], [0.0, 0.0, 0.0], Z_AXIS)           # on the axis
+@example("hollow", [(0.0, -0.05, 0.0)], [0.0, 0.0, 0.0], Z_AXIS)
+@example("hollow", [(0.001, 0.004, 0.0)], [0.0, 0.0, 0.0], Z_AXIS)       # in the bore
+@example("solid", [(0.015, 0.04, 0.0)], [0.0, 0.0, 0.0], Z_AXIS)         # rho = radius
+@example("hollow", [(0.02, -0.03, 0.0), (0.002, 0.03, 0.0)], [0.0, 0.0, 0.0], Z_AXIS)
+@settings(max_examples=100, deadline=None)
+def test_field_matches_eight_call_oracle(name, points, centre_raw, axis_raw):
+    """One cel pass gives the bits of one cel call per integral.
+
+    At rho = radius beyond an end face gamma = 0, so p = 0 takes cel's
+    p <= 0 branch.
+    """
+    spec = ORACLE_SPECS[name]
+    assume(np.linalg.norm(axis_raw) > 0.1)
+    n = _unit(axis_raw)
+    e1 = _unit(np.cross(n, [1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.cross(n, [0.0, 1.0, 0.0]))
+    e2 = np.cross(n, e1)
+    margin = 1e-6  # clear of the material, beyond the library's boundary tolerance
+    points = [(rho, z, phi) for rho, z, phi in points
+              if not (abs(z) <= spec.length / 2.0 + margin
+                      and spec.inner_radius - margin <= rho <= spec.outer_radius + margin)]
+    assume(points)
+    centre = 0.1 * np.asarray(centre_raw)
+    obs = np.array([centre + z * n + rho * (math.cos(phi) * np.asarray(e1) + math.sin(phi) * e2)
+                    for rho, z, phi in points])
+    assert np.array_equal(cylinder_field(spec, centre, n, obs),
+                          field_oracle.cylinder_field(spec, centre, n, obs))
+    assert np.array_equal(cylinder_field(spec, centre, n, obs[0]),
+                          field_oracle.cylinder_field(spec, centre, n, obs[0]))
