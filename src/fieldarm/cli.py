@@ -10,6 +10,8 @@ failure, 2 usage or configuration error.
 
 Every input is declared once, as a Flag in COMMON or COMMANDS (type or
 choices, default, help, Domain; an input CSV's columns with their Domains).
+The Domains live in `config`, whose tables declare the YAML keys the same
+way; `--seed` and the configuration's `seed` share one.
 The parser and --help, the checks in _check_args (a value outside its
 domain is exit 2) and a CSV artefact's `# args` header all read these
 entries. A non-finite number never reaches an artefact: that is exit 1.
@@ -41,37 +43,13 @@ from .alignment import (
     replace_forbidden_pose,
     sphere_segment_scan,
 )
-from .config import RunConfig, load_config, config_from_dict
+from .config import (FINITE, INDEX, NON_NEGATIVE, POSITIVE, REQUIRED, Domain, RunConfig,
+                     config_from_dict, count, load_config, up_to)
 from .errors import ConfigError, FieldArmError, InsufficientData, ParseError, UsageError
 from .kinematics import Pose, magnet_pose_for_field_direction, unit_normal
 from .magnetostatics import GAMMA_E_DEFAULT
 
 _USAGE_ERRORS = (ConfigError, ParseError, InsufficientData, UsageError)
-
-
-class Domain(NamedTuple):
-    """The values a flag or CSV cell may take: help text and test (never NaN)."""
-
-    text: str
-    ok: Callable[[float], bool]
-
-
-FINITE = Domain("finite", math.isfinite)
-POSITIVE = Domain("> 0", lambda v: 0 < v < math.inf)
-NON_NEGATIVE = Domain(">= 0", lambda v: 0 <= v < math.inf)
-INDEX = Domain("an integer >= 0", lambda v: 0 <= v < math.inf and float(v).is_integer())
-
-
-def up_to(hi):
-    return Domain(f"in (0, {hi:g}]", lambda v: 0 < v <= hi)
-
-
-def count(maximum):
-    """Integer counts; the maximum keeps a typo from allocating without bound."""
-    return Domain(f"an integer in [1, {maximum}]", lambda v: 1 <= v <= maximum)
-
-
-REQUIRED = object()
 
 
 class Flag(NamedTuple):
@@ -99,7 +77,7 @@ class Flag(NamedTuple):
 
 COMMON = (
     Flag("config", str, help="YAML run configuration file"),
-    Flag("seed", int, domain=NON_NEGATIVE, help="override the configuration seed"),
+    Flag("seed", int, domain=INDEX, help="override the configuration seed"),
     Flag("out", str, help="output artefact path (default: stdout)"),
     Flag("units", ("mT-deg", "si"), "mT-deg", help="units at the CLI boundary (default: mT-deg)"),
 )
@@ -469,8 +447,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config) if args.config else config_from_dict({})
         if args.seed is not None:
-            config = dataclasses.replace(config, seed=args.seed,
-                                         resolved={**config.resolved, "seed": args.seed})
+            config = dataclasses.replace(config, resolved={**config.resolved, "seed": args.seed})
         _check_args(args, config)
         COMMANDS[args.command].run(args, config, Units(args.units))
         return 0

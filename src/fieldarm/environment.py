@@ -45,6 +45,9 @@ class TriangleMesh:
         t = np.asarray(self.triangles, dtype=int).reshape(-1, 3)
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "triangles", t)
+        bad = ~np.isfinite(v).all(axis=1)
+        if bad.any():
+            raise ParseError(f"mesh '{self.name}': vertex {int(np.argmax(bad))} is not finite")
         if t.size and (t.min() < 0 or t.max() >= len(v)):
             raise ParseError(f"mesh '{self.name}': triangle index out of range")
         areas = self.areas()

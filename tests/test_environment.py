@@ -94,6 +94,19 @@ def test_parse_error_reports_line(tmp_path):
     assert err.value.line is not None
 
 
+@pytest.mark.parametrize("name, text", [
+    ("nan.off", UNIT_CUBE_OFF.replace("\n1 0 0\n", "\n1 nan 0\n", 1)),
+    ("inf.stl", SINGLE_TRIANGLE_STL.replace("vertex 0 1 0", "vertex 0 inf 0")),
+])
+def test_non_finite_vertex_rejected(tmp_path, name, text):
+    """A NaN area passes the degenerate-triangle test, so vertices are checked first."""
+    path = tmp_path / name
+    path.write_text(text)
+    index = 1 if name.endswith(".off") else 2
+    with pytest.raises(ParseError, match=rf"{name}': vertex {index} is not finite"):
+        load_mesh(str(path))
+
+
 def test_degenerate_triangle_rejected():
     with pytest.raises(DegenerateGeometry):
         TriangleMesh([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [[0, 1, 2]], "degenerate")
