@@ -15,14 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometry, NoSolution, ParseError
+from .errors import DegenerateGeometry, ParseError
 from .kinematics import (
     DHTable,
     Pose,
     frame_chain,
     has_spherical_wrist,
     ik_branch_array,
-    inverse_kinematics,
+    ik_solutions,
+    nearest_first,
 )
 
 _MIN_TRIANGLE_AREA = 1e-12  # m^2
@@ -391,42 +392,15 @@ def _branch_verdicts(poses, dh, trees):
     return q, ok, clear
 
 
-def _pick_branch(pose, branches, clear, seed) -> PoseFeasibility:
-    """Reachable with the clear branch nearest `seed`, else Collision with
-    the nearest branch, else IkFailure."""
-    order = sorted(range(len(branches)), key=lambda j: float(np.linalg.norm(branches[j] - seed)))
-    if not order:
-        return PoseFeasibility(pose, FeasibilityStatus.IK_FAILURE, None)
-    for j in order:
-        if clear[j]:
-            return PoseFeasibility(pose, FeasibilityStatus.REACHABLE, branches[j])
-    return PoseFeasibility(pose, FeasibilityStatus.COLLISION, branches[order[0]])
-
-
-DLS_BRANCHES = 6    # DLS solves per pose when no closed form applies
-DLS_RESTARTS = 10   # random restarts per DLS solve
-
-
-def _dls_feasibility(pose, dh, trees, seed, rng) -> PoseFeasibility:
-    """Feasibility of one pose for a table without a spherical wrist.
-
-    Up to DLS_BRANCHES damped least-squares solutions, from `seed` and then
-    from uniform draws of `rng`, stopping at the first solve that fails.
-    Reachable with the first solution that clears the environment,
-    Collision with the first one if all collide, IkFailure if there is none.
-    """
-    rng = np.random.default_rng(0 if rng is None else rng)
+def _verdict(pose, pairs) -> PoseFeasibility:
+    """Reachable with the first clear solution, else Collision with the first
+    solution, else IkFailure; `pairs` are (joints, clear) in preference order."""
     first = None
-    for _ in range(DLS_BRANCHES):
-        try:
-            q = inverse_kinematics(dh, pose, seed=seed, rng=rng, restarts=DLS_RESTARTS)
-        except NoSolution:
-            break
+    for q, clear in pairs:
+        if clear:
+            return PoseFeasibility(pose, FeasibilityStatus.REACHABLE, q)
         if first is None:
             first = q
-        if not trees or not _capsule_hits(_capsules(dh, q), dh.link_radii, trees).any():
-            return PoseFeasibility(pose, FeasibilityStatus.REACHABLE, q)
-        seed = rng.uniform(dh.q_min, dh.q_max)
     if first is None:
         return PoseFeasibility(pose, FeasibilityStatus.IK_FAILURE, None)
     return PoseFeasibility(pose, FeasibilityStatus.COLLISION, first)
@@ -435,16 +409,13 @@ def _dls_feasibility(pose, dh, trees, seed, rng) -> PoseFeasibility:
 def feasibility_batch(poses, dh, env, seed, trees=None, rngs=None) -> list[PoseFeasibility]:
     """IK then collision check for a sequence of poses, in input order.
 
-    Reachable if some IK solution clears the environment, Collision if every
-    solution collides, IkFailure if there is none. For a spherical-wrist
-    table the solutions are every IK branch, so Collision is proof; the
-    branches and capsules of POSE_CHUNK poses at a time are checked in one
-    array pass, and a Reachable pose gets the clear branch nearest the
-    running seed (a Collision pose the nearest branch). The running seed
-    starts at `seed` and becomes each pose's joints in turn, mirroring a
-    meander scan's locality. Any other table runs the seeded DLS search of
-    _dls_feasibility pose by pose, pose i drawing from rngs[i] (a Generator,
-    or a seed for np.random.default_rng; default 0).
+    Each pose gets the _verdict of its ik_solutions from the running seed,
+    which starts at `seed` and becomes each pose's joints in turn, mirroring
+    a meander scan's locality. For a spherical-wrist table the solutions are
+    every IK branch, so Collision is proof; the branches and capsules of
+    POSE_CHUNK poses at a time are checked in one array pass. Any other
+    table runs the seeded DLS search pose by pose, pose i drawing from
+    rngs[i], and checks each solution only when the ones before it collide.
     """
     if trees is None:
         trees = build_trees(env)
@@ -459,9 +430,12 @@ def feasibility_batch(poses, dh, env, seed, trees=None, rngs=None) -> list[PoseF
             q, ok, clear = _branch_verdicts(chunk, dh, trees)
         for i, pose in enumerate(chunk):
             if spherical:
-                result = _pick_branch(pose, q[i][ok[i]], clear[i][ok[i]], seed)
+                branches, free = q[i][ok[i]], clear[i][ok[i]]
+                pairs = ((branches[j], free[j]) for j in nearest_first(branches, seed))
             else:
-                result = _dls_feasibility(pose, dh, trees, seed, rngs[start + i])
+                pairs = ((s, not _capsule_hits(_capsules(dh, s), dh.link_radii, trees).any())
+                         for s in ik_solutions(dh, pose, seed, rngs[start + i]))
+            result = _verdict(pose, pairs)
             if result.joints is not None:
                 seed = result.joints
             out.append(result)
@@ -477,7 +451,7 @@ def partition_pose_dictionary(poses, dh, env, seed=None, random_seed=0) -> list[
     """Classify each pose as Reachable / IkFailure / Collision, in input order.
 
     One feasibility_batch over all poses; the first IK seed is `seed` (the
-    home configuration by default). Pose i's DLS fallback (tables without a
+    home configuration by default). Pose i's DLS search (tables without a
     spherical wrist) draws from np.random.default_rng([random_seed, i]);
     deterministic for fixed inputs.
     """

@@ -171,8 +171,12 @@ def forward_kinematics(dh: DHTable, q: np.ndarray) -> Pose:
 POS_TOL = 1e-4   # m
 ROT_TOL = 1e-3   # rad
 LIMIT_SLACK = 1e-6  # rad, closed-form IK angles this far outside a joint limit are clipped
-DLS_DAMPING = 0.01  # damping of inverse_kinematics' least-squares fallback
-DLS_MAX_ITER = 500  # iterations per start of that fallback
+# the damped least-squares (DLS) search of tables without a spherical wrist
+DLS_DAMPING = 0.01  # damping of each solve
+DLS_MAX_ITER = 500  # iterations per solve
+DLS_STALL = 30      # iterations without progress after which a solve fails
+DLS_BRANCHES = 6    # solutions the search yields at most
+DLS_RESTARTS = 10   # random restarts: DLS_RESTARTS + 1 failed solves in a row end the search
 
 
 def _pose_error(T_target: np.ndarray, T_current: np.ndarray) -> np.ndarray:
@@ -198,13 +202,14 @@ def _jacobian_from_frames(frames) -> np.ndarray:
     return J
 
 
-def _dls_solve(dh, T_target, q0, damping, max_iter, stall_limit=30):
+def _dls_solve(dh, T_target, q0):
+    """One DLS solve with joint-limit clamping from q0; None if it fails."""
     q = np.clip(np.asarray(q0, dtype=float).copy(), dh.q_min, dh.q_max)
-    lam2 = damping * damping
+    lam2 = DLS_DAMPING * DLS_DAMPING
     eye6 = np.eye(6)
     best = np.inf
     stall = 0
-    for _ in range(max_iter):
+    for _ in range(DLS_MAX_ITER):
         frames = frame_chain(dh, q)
         e = _pose_error(T_target, frames[-1])
         if np.linalg.norm(e[:3]) <= 0.5 * POS_TOL and np.linalg.norm(e[3:]) <= 0.5 * ROT_TOL:
@@ -215,7 +220,7 @@ def _dls_solve(dh, T_target, q0, damping, max_iter, stall_limit=30):
             stall = 0
         else:
             stall += 1
-            if stall > stall_limit:  # clamped into a corner or wrong branch
+            if stall > DLS_STALL:  # clamped into a corner or wrong branch
                 return None
         J = _jacobian_from_frames(frames)
         dq = J.T @ np.linalg.solve(J @ J.T + lam2 * eye6, e)
@@ -331,45 +336,52 @@ def ik_branches(dh: DHTable, target: Pose) -> list[np.ndarray]:
     return list(q[0, ok[0]])
 
 
-def inverse_kinematics(
-    dh: DHTable,
-    target: Pose,
-    seed: np.ndarray = None,
-    restarts: int = 40,
-    rng: "np.random.Generator" = None,  # a string: evaluated, it imports numpy.random
-) -> np.ndarray:
-    """Joint configuration reaching `target` within POS_TOL/ROT_TOL.
+def nearest_first(branches, seed) -> list[int]:
+    """Indices of `branches` by distance to `seed`, nearest first (ties keep their order)."""
+    return sorted(range(len(branches)), key=lambda j: float(np.linalg.norm(branches[j] - seed)))
 
-    A spherical-wrist table gets the ik_branches solution nearest `seed`
-    (the other arguments are unused). Any other table falls back to damped
-    least squares with joint-limit clamping, from `seed` and then from
-    `restarts` uniform draws of `rng`. Raises NoSolution when nothing
-    reaches the pose.
+
+def ik_solutions(dh: DHTable, target: Pose, seed: np.ndarray = None, rng=None):
+    """Joint configurations reaching `target` within POS_TOL/ROT_TOL, in preference order.
+
+    A spherical-wrist table yields its ik_branches, nearest `seed` first
+    (`rng` is unused). Any other table runs one seeded DLS search: it solves
+    from `seed`, and after every solve draws the next start uniformly from
+    `rng` (a Generator, or a seed for np.random.default_rng; default 0). It
+    stops after DLS_BRANCHES solutions, or after DLS_RESTARTS + 1 failed
+    solves in a row. A target beyond the arm's reach yields nothing.
     """
     if seed is None:
         seed = dh.home()
     dh.check_limits(seed)
     if has_spherical_wrist(dh):
         branches = ik_branches(dh, target)
-        if not branches:
-            raise NoSolution("no inverse-kinematics branch reaches the pose")
-        return min(branches, key=lambda q: float(np.linalg.norm(q - seed)))
-    # quick reach rejection: target beyond maximal arm extension
+        for j in nearest_first(branches, seed):
+            yield branches[j]
+        return
     reach = float(np.sum(np.abs(dh.a)) + np.sum(np.abs(dh.d)) + dh.tool_offset)
     if np.linalg.norm(target.position) > reach:
-        raise NoSolution(f"target at {np.linalg.norm(target.position):.3f} m exceeds reach {reach:.3f} m")
+        return
+    rng = np.random.default_rng(0 if rng is None else rng)
     T_target = target.matrix()
-    q = _dls_solve(dh, T_target, seed, DLS_DAMPING, DLS_MAX_ITER)
-    if q is not None:
-        return q
-    if rng is None:
-        rng = np.random.default_rng(0)
-    for _ in range(restarts):
-        q0 = rng.uniform(dh.q_min, dh.q_max)
-        q = _dls_solve(dh, T_target, q0, DLS_DAMPING, DLS_MAX_ITER)
+    q0, found, failed = seed, 0, 0
+    while found < DLS_BRANCHES:
+        q = _dls_solve(dh, T_target, q0)
         if q is not None:
-            return q
-    raise NoSolution("inverse kinematics did not converge within the iteration budget")
+            found, failed = found + 1, 0
+            yield q
+        elif failed == DLS_RESTARTS:
+            return
+        else:
+            failed += 1
+        q0 = rng.uniform(dh.q_min, dh.q_max)
+
+
+def inverse_kinematics(dh: DHTable, target: Pose, seed: np.ndarray = None, rng=None) -> np.ndarray:
+    """The first of ik_solutions; raises NoSolution when there is none."""
+    for q in ik_solutions(dh, target, seed, rng):
+        return q
+    raise NoSolution("no inverse-kinematics solution reaches the pose")
 
 
 def unit_normal(alpha_y: float, alpha_z: float) -> np.ndarray:

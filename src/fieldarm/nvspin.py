@@ -168,12 +168,6 @@ def splitting_from_cubic(D, Pi, beta, gamma_angle):
     return r[..., 2] - r[..., 1]
 
 
-def resonances_from_cubic(D, Pi, beta, gamma_angle):
-    """(f_minus, f_plus) relative to the lowest-energy (ms=0-like) root."""
-    r = characteristic_roots(D, Pi, beta, gamma_angle)
-    return r[..., 1] - r[..., 0], r[..., 2] - r[..., 0]
-
-
 def normalize_splittings(splittings, B_magnitudes):
     """nu_n(i) = nu(i) / |B(i)| * max|B|."""
     nu = np.asarray(splittings, dtype=float)
@@ -276,11 +270,16 @@ def _lorentzian_dip(f, f0, width):
 
 def odmr_spectrum(p: NVParams, B_nv, linewidth, contrast_depth, grid,
                   noise_sigma=0.0, rng=None) -> OdmrSpectrum:
-    """Synthetic two-dip ODMR trace for the given field (NV frame)."""
+    """Synthetic two-dip ODMR trace for the given field (NV frame).
+
+    Noise (noise_sigma > 0) is drawn from `rng`, which it then requires.
+    """
     if linewidth <= 0:
         raise ValueError("linewidth must be > 0")
     if not (0 < contrast_depth < 1):
         raise ValueError("contrast_depth must be in (0, 1)")
+    if noise_sigma > 0.0 and rng is None:
+        raise ValueError("noise_sigma > 0 needs an rng")
     grid = np.asarray(grid, dtype=float)
     pair = resonances(p, B_nv)
     c = 1.0 - contrast_depth * (
@@ -288,8 +287,6 @@ def odmr_spectrum(p: NVParams, B_nv, linewidth, contrast_depth, grid,
         + _lorentzian_dip(grid, pair.f_plus, linewidth)
     )
     if noise_sigma > 0.0:
-        if rng is None:
-            rng = np.random.default_rng()
         c = c + rng.normal(0.0, noise_sigma, size=grid.shape)
     return OdmrSpectrum(grid, c, noise_sigma)
 

@@ -15,11 +15,7 @@ from fieldarm.alignment import CalibrationResult
 from fieldarm.cli import build_parser, main
 from fieldarm.kinematics import magnet_pose_for_field_direction
 from fieldarm.magnetostatics import cylinder_field, default_magnet_spec
-from fieldarm.nvspin import (
-    GAMMA_E_DEFAULT,
-    field_polar_angle,
-    resonances_from_cubic,
-)
+from fieldarm.nvspin import GAMMA_E_DEFAULT, characteristic_roots, field_polar_angle
 
 from conftest import CONFIG_DIR, SAMPLE, STANDOFF
 
@@ -212,8 +208,8 @@ def test_odmr_spectrum_output(tmp_path):
 def _write_trajectory_csv(path, ay_deg, az_deg, B_mT=3.0):
     nv_axis = (np.deg2rad(97.6), np.deg2rad(64.1))
     gammas = field_polar_angle(np.deg2rad(ay_deg), np.deg2rad(az_deg), *nv_axis)
-    fm, fp = resonances_from_cubic(2.8704e9, 1.8515e6, GAMMA_E_DEFAULT * B_mT * 1e-3,
-                                   gammas)
+    r = characteristic_roots(2.8704e9, 1.8515e6, GAMMA_E_DEFAULT * B_mT * 1e-3, gammas)
+    fm, fp = r[..., 1] - r[..., 0], r[..., 2] - r[..., 0]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["alpha_yB_deg", "alpha_zB_deg", "f_minus_MHz", "f_plus_MHz",

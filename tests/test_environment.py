@@ -30,9 +30,12 @@ from fieldarm.kinematics import (
     magnet_pose_for_field_direction,
 )
 
+import dls_oracle
 from conftest import CONFIG_DIR, STANDOFF
 
 WALLED = load_config(os.path.join(CONFIG_DIR, "walled.yaml"))
+# walled.yaml with a4 = 0.01 m: no spherical wrist
+BENT = load_config(os.path.join(os.path.dirname(__file__), "golden", "bent.yaml"))
 
 UNIT_CUBE_OFF = """OFF
 8 12 0
@@ -305,3 +308,49 @@ def test_non_spherical_table_uses_seeded_dls_fallback(arm, wall, monkeypatch):
             reached = forward_kinematics(bent, r.joints)
             assert np.linalg.norm(reached.position - r.pose.position) <= POS_TOL
             assert check_collision(bent, r.joints, [wall]).clear
+
+
+def _partition_against_dls_oracle(angles, u, random_seed):
+    """Partition BENT's poses at (ay, az, standoff) triples from the joints
+    at fractions `u` of each range, and assert that the flat DLS search gives
+    the nested oracle's statuses and joints; returns the oracle's Searches."""
+    dh, env = BENT.dh, BENT.environment
+    poses = [magnet_pose_for_field_direction(BENT.sample, math.radians(ay), math.radians(az), r)
+             for ay, az, r in angles]
+    seed = dh.q_min + np.asarray(u) * (dh.q_max - dh.q_min)
+    expected = dls_oracle.partition_pose_dictionary(poses, dh, build_trees(env), seed,
+                                                    random_seed)
+    got = partition_pose_dictionary(poses, dh, env, seed, random_seed)
+    for want, result in zip(expected, got):
+        assert result.status is want.result.status
+        assert (result.joints is None and want.result.joints is None) or np.array_equal(
+            result.joints, want.result.joints)
+    return expected
+
+
+@pytest.mark.parametrize("angles, random_seed, outcomes", [
+    # (status, solutions, solves) along one running-seed chain through each verdict
+    ([(70.6, -3.0, 0.16), (11.7, 48.2, 0.16), (79.5, 97.0, 0.16), (70.5, 85.4, 0.3),
+      (89.9, 57.4, 0.5)], 2,
+     [("Reachable", 3, 7),    # the third solution clears the wall
+      ("Collision", 2, 21),   # gives up after two colliding solutions
+      ("Collision", 6, 10),   # DLS_BRANCHES solutions, all colliding
+      ("IkFailure", 0, 11),   # in reach, DLS_RESTARTS + 1 solves fail
+      ("IkFailure", 0, 0)]),  # beyond reach: no solve
+    # the sixth and last solution is the first that clears
+    ([(49.3, -13.2, 0.16)], 55042, [("Reachable", 6, 18)]),
+    # the first solution comes from the last restart, the eleventh solve
+    ([(26.2, -8.0, 0.3)], 47186, [("Reachable", 1, 11)]),
+])
+def test_dls_search_matches_nested_oracle_at_its_limits(angles, random_seed, outcomes):
+    searches = _partition_against_dls_oracle(angles, np.full(6, 0.5), random_seed)
+    assert [(s.result.status.value, s.solutions, s.solves) for s in searches] == outcomes
+
+
+@given(angles=st.lists(st.tuples(st.floats(-10.0, 90.0), st.floats(-60.0, 120.0),
+                                 st.sampled_from([0.16, 0.3])), min_size=1, max_size=2),
+       u=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
+       random_seed=st.integers(0, 2**16))
+@settings(max_examples=6, deadline=None)
+def test_dls_search_matches_nested_oracle(angles, u, random_seed):
+    _partition_against_dls_oracle(angles, u, random_seed)

@@ -1,4 +1,6 @@
-"""Golden artefacts: the README's field commands reproduce committed bytes.
+"""Golden artefacts: the README's field commands, and a partition and a
+replace on `bent.yaml` (no spherical wrist, so IK runs the seeded DLS
+search), reproduce committed bytes.
 
 The copies in `tests/golden/` were written by `golden_artefact` with numpy
 GOLDEN_NUMPY. Absolute paths of the bundled configs (the mesh path in the
@@ -26,6 +28,11 @@ CASES = {
                  "--standoff-m", "0.16"],
     "plan.json": ["--config", os.path.join(CONFIG_DIR, "walled.yaml"), "replace",
                   "--ay", "30", "--az", "53", "--axis", "y"],
+    "bent_partition.csv": ["--config", os.path.join(GOLDEN_DIR, "bent.yaml"), "partition",
+                           "--ay-start", "30", "--ay-stop", "85", "--ay-steps", "3",
+                           "--az-start", "5", "--az-stop", "85", "--az-steps", "3"],
+    "bent_plan.json": ["--config", os.path.join(GOLDEN_DIR, "bent.yaml"), "replace",
+                       "--ay", "74", "--az", "37", "--axis", "y"],
 }
 
 

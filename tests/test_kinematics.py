@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fieldarm.config import load_config
 from fieldarm.errors import JointLimitViolation, NoSolution
 from fieldarm.kinematics import (
+    LIMIT_SLACK,
     POS_TOL,
     ROT_TOL,
     DHTable,
@@ -143,6 +144,8 @@ def test_ik_round_trip_on_fk_targets():
 @given(u=UNIT6)
 # q1 and q2 on their lower limits, the wrist centre 0.3 mm from the base axis
 @example(u=np.array([0.0, 0.0, 0.37890625, 0.0, 0.0, 0.0]))
+# the branch with q1 = q_min + pi has its exact q4 6.1e-7 rad below q_min
+@example(u=np.array([0.0, 0.796875, 0.681640625, 0.0, 0.83203125, 0.0]))
 @settings(max_examples=200, deadline=None)
 def test_ik_branches_reach_fk_targets_within_limits(name, u):
     dh = BUNDLED_TABLES[name]
@@ -150,16 +153,20 @@ def test_ik_branches_reach_fk_targets_within_limits(name, u):
     target = forward_kinematics(dh, _in_range(dh, u))
     branches = ik_branches(dh, target)
     assert 1 <= len(branches) <= 8
-    wrist_and_tool = None
     for q in branches:
         dh.check_limits(q)
         e = _pose_error(target.matrix(), fk_matrix(dh, q))
         assert np.linalg.norm(e[:3]) <= POS_TOL and np.linalg.norm(e[3:]) <= ROT_TOL
-        # the wrist centre, flange and TCP follow from the pose alone
-        origins = np.array([f[:3, 3] for f in frame_chain(dh, q)[4:]])
-        if wrist_and_tool is None:
-            wrist_and_tool = origins
-        assert np.allclose(origins, wrist_and_tool, atol=1e-9, rtol=0)
+    # The wrist centre, flange and TCP follow from the pose alone: to 1e-9 m
+    # for a branch inside its limits. A branch on a limit may hold an angle
+    # clipped by up to LIMIT_SLACK, which moves them by up to LIMIT_SLACK
+    # times the arm's reach.
+    reach = float(np.sum(np.abs(dh.a)) + np.sum(np.abs(dh.d)) + dh.tool_offset)
+    origins = [frame_chain(dh, q)[4:, :3, 3] for q in branches]
+    on_limit = [bool(np.any((q == dh.q_min) | (q == dh.q_max))) for q in branches]
+    reference = next((o for o, lim in zip(origins, on_limit) if not lim), origins[0])
+    for o, lim in zip(origins, on_limit):
+        assert np.allclose(o, reference, atol=LIMIT_SLACK * reach if lim else 1e-9, rtol=0)
 
 
 @given(u=UNIT6, start=st.integers(0, 2**32 - 1))
@@ -168,8 +175,8 @@ def test_dls_solution_is_an_ik_branch(u, start):
     dh = default_dh_table()
     T = fk_matrix(dh, _in_range(dh, u))
     rng = np.random.default_rng(start)
-    for _ in range(10):  # random starts, as inverse_kinematics' restarts
-        q = _dls_solve(dh, T, rng.uniform(dh.q_min, dh.q_max), damping=0.01, max_iter=500)
+    for _ in range(10):  # random starts, as ik_solutions' restarts
+        q = _dls_solve(dh, T, rng.uniform(dh.q_min, dh.q_max))
         if q is not None:
             break
     assume(q is not None)

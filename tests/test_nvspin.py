@@ -19,7 +19,6 @@ from fieldarm.nvspin import (
     nv_frame_rotation,
     odmr_spectrum,
     resonances,
-    resonances_from_cubic,
     splitting_from_cubic,
     world_to_nv_frame,
 )
@@ -72,8 +71,8 @@ def test_cubic_broadcasts():
                                  np.linspace(0, np.pi, 5))
     assert roots.shape == (5, 3)
     nu = splitting_from_cubic(D_ANCHOR, PI_ANCHOR, 1e7, 0.3)
-    fm, fp = resonances_from_cubic(D_ANCHOR, PI_ANCHOR, 1e7, 0.3)
-    assert math.isclose(nu, fp - fm, rel_tol=1e-12)
+    r = characteristic_roots(D_ANCHOR, PI_ANCHOR, 1e7, 0.3)
+    assert math.isclose(nu, (r[2] - r[0]) - (r[1] - r[0]), rel_tol=1e-12)
 
 
 def test_splitting_monotone_in_field_when_aligned():
@@ -219,3 +218,12 @@ def test_odmr_spectrum_validation():
         odmr_spectrum(p, [0, 0, 0], linewidth=-1.0, contrast_depth=0.02, grid=grid)
     with pytest.raises(ValueError):
         odmr_spectrum(p, [0, 0, 0], linewidth=4e6, contrast_depth=1.5, grid=grid)
+
+
+def test_odmr_noise_needs_an_rng():
+    # noise from an unseeded generator would escape --seed
+    p = NVParams(D=D_ANCHOR, Pi=PI_ANCHOR)
+    grid = np.linspace(2.8e9, 2.95e9, 100)
+    with pytest.raises(ValueError, match="rng"):
+        odmr_spectrum(p, [0, 0, 0], linewidth=4e6, contrast_depth=0.02, grid=grid,
+                      noise_sigma=1e-3)
