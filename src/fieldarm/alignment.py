@@ -6,7 +6,7 @@ problem.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,16 +18,10 @@ from .errors import (
     TargetUnreachable,
     ZeroField,
 )
-from .kinematics import (
-    Pose,
-    angles_for_direction,
-    has_spherical_wrist,
-    magnet_pose_for_field_direction,
-    quantize_position,
-    unit_normal,
-)
+from .kinematics import Pose, angles_for_direction, has_spherical_wrist, quantize_position, unit_normal
 from .lsq import least_squares
 from .magnetostatics import MagnetSpec, cylinder_field, inverse_dipole
+from .rotations import row_dot
 
 SIMILARITY_SCALE_MT = 3.0  # Gaussian kernel length scale, millitesla
 SCHEDULE_MAX_DISTANCE_M = 0.6  # far end of the ray amplitude_schedule searches
@@ -86,23 +80,32 @@ def sphere_segment_scan(sample, alpha_y_values, alpha_z_values, standoff,
     if ay_vals.size == 0 or az_vals.size == 0:
         raise ValueError("scan grid must be non-empty")
     sample = np.asarray(sample, dtype=float)
-    grid = [(float(ay), float(az)) for k, ay in enumerate(ay_vals)
-            for az in (az_vals if k % 2 == 0 else az_vals[::-1])]
-    poses = [magnet_pose_for_field_direction(sample, ay, az, standoff) for ay, az in grid]
-    fields = cylinder_field(spec, [p.position for p in poses], [p.axis for p in poses], sample)
-    return [ScanPoint(ay, az, pose, B, i)
-            for i, ((ay, az), pose, B) in enumerate(zip(grid, poses, fields))]
+    az_grid = np.tile(az_vals, (ay_vals.size, 1))
+    az_grid[1::2] = az_grid[1::2, ::-1]
+    ay, az = np.repeat(ay_vals, az_vals.size), az_grid.ravel()
+    positions = sample - standoff * unit_normal(ay, az)
+    poses = [Pose(*p, 0.0, a, z) for p, a, z in zip(positions, ay, az)]
+    # a pose's axis comes from its angles wrapped to (-pi, pi]
+    axes = unit_normal([p.alpha_y for p in poses], [p.alpha_z for p in poses])
+    fields = cylinder_field(spec, positions, axes, sample)
+    return [ScanPoint(float(a), float(z), pose, B, i)
+            for i, (a, z, pose, B) in enumerate(zip(ay, az, poses, fields))]
 
 
-def angular_error(predicted, designed_direction) -> float:
-    """Angle (rad) between a field vector and a designed unit direction."""
+def angular_error(predicted, designed_direction):
+    """Angle (rad) between field vectors and designed directions, row by row.
+
+    Broadcasts over (..., 3) arrays; one pair of vectors gives a float.
+    Raises ZeroField if any field vector is zero.
+    """
     B = np.asarray(predicted, dtype=float)
     n = np.asarray(designed_direction, dtype=float)
-    nb = np.linalg.norm(B)
-    if nb == 0.0:
+    nb = np.sqrt(row_dot(B, B))
+    if np.any(nb == 0.0):
         raise ZeroField("angular error undefined for zero field")
-    c = (B @ n) / (nb * np.linalg.norm(n))
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
+    c = row_dot(B, n) / (nb * np.sqrt(row_dot(n, n)))
+    err = np.arccos(np.clip(c, -1.0, 1.0))
+    return float(err) if err.ndim == 0 else err
 
 
 def calibrate_offsets(measured, spec: MagnetSpec, sample, standoff) -> CalibrationResult:
@@ -114,18 +117,19 @@ def calibrate_offsets(measured, spec: MagnetSpec, sample, standoff) -> Calibrati
     """
     if standoff <= 0:
         raise ValueError("standoff must be > 0")
-    rows = [(float(ay), float(az), int(mi), np.asarray(B, dtype=float))
-            for ay, az, mi, B in measured]
-    n_mass = max(r[2] for r in rows) + 1
-    for m in range(n_mass):
-        if sum(1 for r in rows if r[2] == m) < 4:
+    mass = [int(row[2]) for row in measured]
+    n_mass = max(mass) + 1
+    for m in range(n_mass):  # stops by m = len(mass) / 4, however large an index is
+        if mass.count(m) < 4:
             raise InsufficientData(f"mass configuration {m} has fewer than 4 measurements")
+    ay, az, B_meas = (np.array([row[i] for row in measured], dtype=float) for i in (0, 1, 3))
+    mass = np.array(mass)
     sample = np.asarray(sample, dtype=float)
-    B_meas = np.array([r[3] for r in rows])
 
     def residual(params):
-        n = np.array([unit_normal(ay + params[0], az + params[1 + mi]) for ay, az, mi, _ in rows])
-        return (cylinder_field(spec, sample - standoff * n, n, sample) - B_meas).ravel()
+        n = unit_normal(ay + params[..., :1], az + params[..., 1 + mass])
+        B = cylinder_field(spec, sample - standoff * n, n, sample)
+        return (B - B_meas).reshape(*params.shape[:-1], -1)
 
     sol = least_squares(residual, np.zeros(1 + n_mass), xtol=1e-14, ftol=1e-14, gtol=1e-14)
     if not sol.success or not np.all(np.isfinite(sol.x)):

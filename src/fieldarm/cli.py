@@ -226,8 +226,8 @@ def _scan_points(args, config: RunConfig, units: Units):
 
 def cmd_scan(args, config: RunConfig, units: Units):
     points = _scan_points(args, config, units)
-    errors = [angular_error(pt.predicted_field, unit_normal(pt.alpha_y, pt.alpha_z))
-              for pt in points]
+    ay, az = np.array([[pt.alpha_y, pt.alpha_z] for pt in points]).T
+    errors = angular_error(np.array([pt.predicted_field for pt in points]), unit_normal(ay, az))
     rows = [[_fmt(units.angle_out(pt.alpha_y)), _fmt(units.angle_out(pt.alpha_z)),
              *(_fmt(b) for b in units.field_out(pt.predicted_field)),
              _fmt(units.angle_out(err)), pt.order_index]

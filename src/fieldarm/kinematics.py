@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import JointLimitViolation, NoSolution
-from .rotations import euler_to_matrix, matrix_to_euler, normalize_angle, rot_y, rot_z, rotvec_from_matrix
+from .rotations import euler_to_matrix, matrix_to_euler, normalize_angle, row_dot, rotvec_from_matrix
 
 N_JOINTS = 6
 
@@ -384,13 +384,18 @@ def inverse_kinematics(dh: DHTable, target: Pose, seed: np.ndarray = None, rng=N
     raise NoSolution("no inverse-kinematics solution reaches the pose")
 
 
-def unit_normal(alpha_y: float, alpha_z: float) -> np.ndarray:
+def unit_normal(alpha_y, alpha_z) -> np.ndarray:
     """World x-axis rotated by alpha_y about y, then alpha_z about z.
 
     Equals (cos az cos ay, sin az cos ay, -sin ay); always unit norm.
+    Broadcasts: angle arrays of shape (...) give normals of shape (..., 3).
     """
-    n = rot_z(alpha_z) @ rot_y(alpha_y) @ np.array([1.0, 0.0, 0.0])
-    return n / np.linalg.norm(n)
+    ay, az = np.asarray(alpha_y, dtype=float), np.asarray(alpha_z, dtype=float)
+    cy = np.cos(ay)
+    # the + 0.0 and 0.0 - write a zero component as +0.0, as Rz(az) Ry(ay) e_x does
+    n = np.stack(np.broadcast_arrays(np.cos(az) * cy + 0.0, np.sin(az) * cy + 0.0,
+                                     0.0 - np.sin(ay)), axis=-1)
+    return n / np.sqrt(row_dot(n, n))[..., None]
 
 
 def magnet_pose_for_field_direction(sample, alpha_y: float, alpha_z: float, standoff: float) -> Pose:

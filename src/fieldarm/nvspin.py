@@ -32,6 +32,7 @@ SX = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) * _SQ2
 SY = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) * _SQ2
 SZ = np.diag([1.0, 0.0, -1.0]).astype(complex)
 _MS0_INDEX = 1
+_ROOT_PHASES = 2.0 * np.pi * np.arange(3.0) / 3.0  # the cubic's three Viete branches
 
 
 @dataclass(frozen=True)
@@ -140,9 +141,7 @@ def characteristic_roots(D, Pi, beta, gamma_angle):
     trigonometric (Viete) method; raises ComplexRoots if the discriminant
     indicates a non-physical parameter set. Broadcasts over array inputs.
     """
-    D, Pi, beta, gamma_angle = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (D, Pi, beta, gamma_angle))
-    )
+    D, Pi, beta, gamma_angle = (np.asarray(v, dtype=float) for v in (D, Pi, beta, gamma_angle))
     p = -(D * D / 3.0 + Pi * Pi + beta * beta)
     q = (
         -(beta * beta / 2.0) * D * np.cos(2.0 * gamma_angle)
@@ -155,11 +154,10 @@ def characteristic_roots(D, Pi, beta, gamma_angle):
     if np.any(disc > 1e-9 * scale):
         raise ComplexRoots("characteristic cubic has complex roots")
     m = 2.0 * np.sqrt(-p / 3.0)
-    arg = np.clip(3.0 * q / (p * m), -1.0, 1.0)
+    arg = np.minimum(np.maximum(3.0 * q / (p * m), -1.0), 1.0)
     phi = np.arccos(arg) / 3.0
-    k = np.arange(3.0).reshape((3,) + (1,) * p.ndim)
-    roots = m * np.cos(phi - 2.0 * np.pi * k / 3.0)
-    return np.sort(np.moveaxis(roots, 0, -1), axis=-1)
+    roots = m[..., None] * np.cos(phi[..., None] - _ROOT_PHASES)
+    return np.sort(roots, axis=-1)
 
 
 def splitting_from_cubic(D, Pi, beta, gamma_angle):
@@ -202,13 +200,9 @@ def fit_orientation(trajectory, D, Pi, gamma_e=GAMMA_E_DEFAULT) -> OrientationFi
     if np.std(nu) < 1e-9 * max(1.0, np.mean(np.abs(nu))):
         raise DegenerateFit("normalised splittings carry no angular information")
 
-    def model(params):
-        ay, az, B = params
-        gam = field_polar_angle(ay_B, az_B, ay, az)
-        return splitting_from_cubic(D, Pi, gamma_e * abs(B), gam)
-
-    def residual(params):
-        return model(params) - nu
+    def residual(params):  # (..., 3) -> (..., len(nu))
+        gam = field_polar_angle(ay_B, az_B, params[..., 0, None], params[..., 1, None])
+        return splitting_from_cubic(D, Pi, gamma_e * np.abs(params[..., 2, None]), gam) - nu
 
     # grid starts (ay outer, az inner), one row each; the mean splitting is
     # monotone in |B| at fixed angles, so every start's |B| is bisected at once
@@ -223,19 +217,22 @@ def fit_orientation(trajectory, D, Pi, gamma_e=GAMMA_E_DEFAULT) -> OrientationFi
         below = np.mean(splitting_from_cubic(D, Pi, gamma_e * mid[:, None], gam), axis=1) < target
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-    B0 = (lo + hi) / 2.0
-    r = residual((ay0[:, None], az0[:, None], B0[:, None]))
-    order = np.argsort(np.einsum("ij,ij->i", r, r), kind="stable")
-
-    best = None
-    for k in order[:FIT_REFINE_STARTS]:
-        try:
-            sol = least_squares(residual, [ay0[k], az0[k], B0[k]],
-                                xtol=1e-14, ftol=1e-14, gtol=1e-14)
-        except (ComplexRoots, ValueError):  # cubic out of range, or a non-finite start
-            continue
-        if best is None or sol.cost < best.cost:
-            best = sol
+    grid = np.column_stack([ay0, az0, (lo + hi) / 2.0])
+    r = residual(grid)
+    order = np.argsort(np.einsum("ij,ij->i", r, r), kind="stable")[:FIT_REFINE_STARTS]
+    # the lowest-cost starts, refined together; one with non-finite residuals is left out
+    starts = grid[order[np.all(np.isfinite(r[order]), axis=1)]]
+    tol = dict(xtol=1e-14, ftol=1e-14, gtol=1e-14)
+    try:
+        sols = least_squares(residual, starts, **tol)
+    except ComplexRoots:  # a start's cubic left its range: refine the rest alone
+        sols = []
+        for start in starts:
+            try:
+                sols.append(least_squares(residual, start, **tol))
+            except ComplexRoots:
+                continue
+    best = min(sols, key=lambda sol: sol.cost, default=None)
     if best is None or not np.all(np.isfinite(best.x)):
         raise FitDiverged("orientation fit failed to converge")
 
@@ -297,18 +294,12 @@ def _two_deepest_minima(f, c):
     kernel = np.ones(win) / win
     cs = np.convolve(c, kernel, mode="same")
     min_separation = (f.max() - f.min()) / 20.0
-    minima = []
-    for i in range(1, len(cs) - 1):
-        if cs[i] <= cs[i - 1] and cs[i] <= cs[i + 1]:
-            minima.append((cs[i], f[i]))
-    minima.sort()
-    picked = []
-    for _, freq in minima:
-        if all(abs(freq - other) >= min_separation for other in picked):
-            picked.append(freq)
-        if len(picked) == 2:
-            break
-    return picked
+    i = np.flatnonzero((cs[1:-1] <= cs[:-2]) & (cs[1:-1] <= cs[2:])) + 1
+    freqs = f[i[np.lexsort((f[i], cs[i]))]]  # local minima, deepest first
+    if not freqs.size:
+        return []
+    rest = freqs[1:]
+    return [freqs[0], *rest[np.abs(rest - freqs[0]) >= min_separation][:1]]
 
 
 def fit_resonances(spectrum: OdmrSpectrum) -> ResonancePair:
@@ -328,14 +319,14 @@ def fit_resonances(spectrum: OdmrSpectrum) -> ResonancePair:
     merged = len(mins) < 2 or abs(mins[0] - mins[1]) < width0 / 2.0
 
     if merged:
-        def residual(p):
-            f0, w, d, base = p
+        def residual(p):  # (..., 4) -> (..., len(f))
+            f0, w, d, base = np.moveaxis(p, -1, 0)[..., None]
             return base - d * _lorentzian_dip(f, f0, w) - c
 
         p0 = [mins[0], width0, depth0, 1.0]
     else:
-        def residual(p):
-            f1, f2, w, d1, d2, base = p
+        def residual(p):  # (..., 6) -> (..., len(f))
+            f1, f2, w, d1, d2, base = np.moveaxis(p, -1, 0)[..., None]
             return base - d1 * _lorentzian_dip(f, f1, w) - d2 * _lorentzian_dip(f, f2, w) - c
 
         p0 = [*sorted(mins[:2]), width0, depth0, depth0, 1.0]

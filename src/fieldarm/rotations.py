@@ -21,6 +21,15 @@ def normalize_angle(a: float) -> float:
     return r
 
 
+def row_dot(a, b) -> np.ndarray:
+    """Dot products of the last axes of two broadcasting (..., k) arrays.
+
+    Each row is rounded as `a @ b` rounds one pair of vectors, which
+    np.einsum and np.linalg.norm(axis=-1) do not always match.
+    """
+    return (np.asarray(a)[..., None, :] @ np.asarray(b)[..., :, None])[..., 0, 0]
+
+
 def rot_x(a: float) -> np.ndarray:
     c, s = math.cos(a), math.sin(a)
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])

@@ -81,6 +81,29 @@ def test_angular_error_examples():
         angular_error([0, 0, 0], [1, 0, 0])
 
 
+def _angular_error_one(B, n):
+    """angular_error's one-pair form: norms and the dot product as vector products."""
+    nb = np.linalg.norm(B)
+    return float(np.arccos(np.clip((B @ n) / (nb * np.linalg.norm(n)), -1.0, 1.0)))
+
+
+@given(k=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), zero_row=st.integers(0, 50))
+@settings(max_examples=60, deadline=None)
+def test_angular_error_batch_is_the_one_pair_form_bit_for_bit(k, seed, zero_row):
+    rng = np.random.default_rng(seed)
+    B = rng.normal(0.0, 1e-3, (k, 3)) * rng.integers(0, 2, (k, 3))  # some zero components
+    B[np.all(B == 0.0, axis=1), 0] = 1e-3
+    n = unit_normal(rng.uniform(-4.0, 4.0, k), rng.uniform(-4.0, 4.0, k))
+    n[rng.random(k) < 0.2] = B[0] / np.linalg.norm(B[0])  # cosines at +-1
+    want = np.array([_angular_error_one(b, m) for b, m in zip(B, n)])
+    assert angular_error(B, n).tobytes() == want.tobytes()
+    assert angular_error(B[0], n[0]) == want[0]
+    if zero_row < k:  # one zero field in the batch raises, as it does alone
+        B[zero_row] = 0.0
+        with pytest.raises(ZeroField):
+            angular_error(B, n)
+
+
 def test_similarity_anchors():
     B = np.array([1e-3, -2e-3, 0.5e-3])
     assert similarity(B, B) == 1.0

@@ -1,4 +1,6 @@
-"""Golden artefacts: the README's field commands, and a partition and a
+"""Golden artefacts: the README's field commands, a noisy `odmr` and a
+`fit-nv` on a trajectory like the benchmark's (its floats are written in
+full, so any change to the least-squares path shows), and a partition and a
 replace on `bent.yaml` (no spherical wrist, so IK runs the seeded DLS
 search), reproduce committed bytes.
 
@@ -26,6 +28,9 @@ CASES = {
     "schedule.csv": ["schedule", "--b-start", "0.5", "--b-stop", "10", "--steps", "20"],
     "cal.json": ["calibrate", "--input", os.path.join(GOLDEN_DIR, "measurements.csv"),
                  "--standoff-m", "0.16"],
+    "odmr.csv": ["--seed", "1", "odmr", "--bx", "0.26922680286637873",
+                 "--by", "-1.018390845211885", "--bz", "3.8000845325919643", "--noise", "0.002"],
+    "fit_nv.json": ["fit-nv", "--input", os.path.join(GOLDEN_DIR, "trajectory.csv")],
     "plan.json": ["--config", os.path.join(CONFIG_DIR, "walled.yaml"), "replace",
                   "--ay", "30", "--az", "53", "--axis", "y"],
     "bent_partition.csv": ["--config", os.path.join(GOLDEN_DIR, "bent.yaml"), "partition",

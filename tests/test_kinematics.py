@@ -241,6 +241,27 @@ def test_unit_normal_examples():
     )
 
 
+def _unit_normal_matrices(ay, az):
+    """unit_normal's matrix form for one pair of angles: Rz(az) Ry(ay) x-hat, normalised."""
+    n = rot_z(az) @ rot_y(ay) @ np.array([1.0, 0.0, 0.0])
+    return n / np.linalg.norm(n)
+
+
+ANGLE = st.floats(-10.0, 10.0) | st.sampled_from(
+    [0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi, 2 * math.pi])
+
+
+@given(st.lists(st.tuples(ANGLE, ANGLE), min_size=1, max_size=30))
+@settings(max_examples=100, deadline=None)
+def test_unit_normal_batch_is_the_matrix_form_bit_for_bit(pairs):
+    # bytes, so a zero component must also carry the matrix form's sign
+    ay, az = np.array(pairs).T
+    want = np.array([_unit_normal_matrices(a, z) for a, z in pairs])
+    assert unit_normal(ay, az).tobytes() == want.tobytes()
+    assert unit_normal(float(ay[0]), float(az[0])).tobytes() == want[0].tobytes()
+    assert unit_normal(ay[:, None], az).shape == (len(pairs), len(pairs), 3)
+
+
 @given(st.floats(-1.5, 1.5), st.floats(-3.1, 3.1))
 @settings(max_examples=100, deadline=None)
 def test_angles_for_direction_round_trip(ay, az):

@@ -1,11 +1,13 @@
-"""The numpy Levenberg-Marquardt solver against scipy.optimize as the oracle."""
+"""The numpy Levenberg-Marquardt solver against scipy.optimize as the oracle,
+and a stack of starts against the one-start solver of `lsq_oracle`."""
 
+import functools
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import curve_fit
 from scipy.optimize import least_squares as scipy_least_squares
@@ -26,6 +28,7 @@ from fieldarm.nvspin import (
     splitting_from_cubic,
 )
 
+import lsq_oracle
 from conftest import SAMPLE, STANDOFF
 
 D_ANCHOR = 2.8704e9
@@ -41,18 +44,20 @@ ORIENTATION_COST_ATOL = 1e-6  # Hz^2
 
 
 def _rosenbrock(x):
-    return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+    return np.stack([10.0 * (x[..., 1] - x[..., 0] ** 2), 1.0 - x[..., 0]], axis=-1)
 
 
 def _with_oracle(module, calls):
-    """Patch module.least_squares so every solve also runs scipy's from x0."""
+    """Patch module.least_squares so every solve also runs scipy's from each
+    row of x0; calls gets one (ours, scipy's) pair per start."""
     def both(fun, x0, **kwargs):
         ours = least_squares(fun, x0, **kwargs)
-        try:
-            theirs = scipy_least_squares(fun, x0, **kwargs)
-        except (ComplexRoots, ValueError):
-            theirs = None
-        calls.append((ours, theirs))
+        for sol, start in zip(ours if np.ndim(x0) == 2 else [ours], np.atleast_2d(x0)):
+            try:
+                theirs = scipy_least_squares(fun, start, **kwargs)
+            except (ComplexRoots, ValueError):
+                theirs = None
+            calls.append((sol, theirs))
         return ours
     return mock.patch.object(module, "least_squares", both)
 
@@ -71,12 +76,13 @@ def test_nfev_counts_residual_calls_outside_the_jacobian():
     calls = []
 
     def counted(x):
-        calls.append(x)
+        calls.append(x.shape)
         return _rosenbrock(x)
 
     sol = least_squares(counted, [-1.2, 1.0])
-    jacobians = (len(calls) - sol.nfev) / 2
-    assert sol.nfev >= 2 and jacobians == int(jacobians) and jacobians >= 1
+    # a Jacobian is one call on the (1, 2, 2) stack x + diag(h)
+    assert calls.count((1, 2)) == sol.nfev >= 2
+    assert calls.count((1, 2, 2)) == len(calls) - sol.nfev >= 1
 
 
 def test_evaluation_limit_reports_failure():
@@ -88,7 +94,8 @@ def test_evaluation_limit_reports_failure():
 
 def test_non_finite_start_raises():
     with pytest.raises(ValueError):
-        least_squares(lambda x: np.array([np.nan, x[0]]), [1.0])
+        least_squares(lambda x: np.stack([np.full_like(x[..., 0], np.nan), x[..., 0]], axis=-1),
+                      [1.0])
 
 
 def test_non_finite_trial_step_is_rejected():
@@ -96,7 +103,7 @@ def test_non_finite_trial_step_is_rejected():
     trials = []
 
     def residual(x):
-        trials.append(x[0])
+        trials.extend(x.ravel())
         with np.errstate(invalid="ignore"):
             return np.sqrt(x) - 0.1
 
@@ -192,3 +199,154 @@ def test_fit_resonances_matches_curve_fit(seed):
                        atol=1e-3 * errs.max())
     assert np.allclose([fitted.f_minus_err, fitted.f_plus_err], errs, rtol=1e-3)
     assert abs(fitted.f_minus - pair.f_minus) < 5 * fitted.f_minus_err
+
+
+# ---------------------------------------------------------------------------
+# A stack of starts against the one-start solver, bit for bit
+
+WALL_Y = -0.2  # the walled Rosenbrock's residuals are NaN below this x[1]
+
+
+def _walled_rosenbrock(x):
+    """Rosenbrock with NaN residuals where x[1] < WALL_Y. From (-1.2, 1) the
+    first trial step lands near (-0.47, -0.31), in the wall, and is rejected."""
+    return np.where(x[..., 1:] < WALL_Y, np.nan, _rosenbrock(x))
+
+
+def _captured(module, call):
+    """(residual, x0) of the first solve that call() hands module.least_squares."""
+    seen = []
+
+    def record(fun, x0, **kwargs):
+        seen.append((fun, np.array(x0, dtype=float, ndmin=2)[0]))
+        return least_squares(fun, x0, **kwargs)
+    with mock.patch.object(module, "least_squares", record):
+        call()
+    return seen[0]
+
+
+def _calibrate_problem():
+    spec = default_magnet_spec()
+    rng = np.random.default_rng(3)
+    offsets = np.deg2rad([4.0, 2.0, -3.0])  # alpha_y, then alpha_z per mass
+    rows = []
+    for mass in range(2):
+        for a, z in rng.uniform(np.deg2rad([20.0, 5.0]), np.deg2rad([80.0, 85.0]), (6, 2)):
+            pose = magnet_pose_for_field_direction(SAMPLE, a + offsets[0],
+                                                   z + offsets[1 + mass], STANDOFF)
+            B = cylinder_field(spec, pose.position, pose.axis, SAMPLE) + rng.normal(0, 1e-5, 3)
+            rows.append((a, z, mass, B))
+    fun, x0 = _captured(alignment, lambda: alignment.calibrate_offsets(rows, spec, SAMPLE,
+                                                                         STANDOFF))
+    return fun, x0, np.full(3, 0.05)
+
+
+def _orientation_problem():
+    rng = np.random.default_rng(4)
+    ay_B = np.deg2rad(np.linspace(75.0, 135.0, 8))
+    az_B = np.deg2rad(np.linspace(52.0, 77.0, 8))
+    gammas = field_polar_angle(ay_B, az_B, *np.deg2rad([97.6, 64.1]))
+    nu = splitting_from_cubic(D_ANCHOR, PI_ANCHOR, GAMMA_E_DEFAULT * 3e-3, gammas)
+    trajectory = np.column_stack([ay_B, az_B, nu + rng.normal(0.0, 20e3, 8)])
+    fun, x0 = _captured(nvspin, lambda: fit_orientation(trajectory, D_ANCHOR, PI_ANCHOR))
+    return fun, x0, np.array([0.2, 0.2, 3e-4])
+
+
+def _dip_problem():
+    rng = np.random.default_rng(5)
+    B_nv = 3e-3 * np.array([0.3, 0.3, math.sqrt(0.82)])
+    spectrum = odmr_spectrum(NVParams(D=D_ANCHOR, Pi=PI_ANCHOR), B_nv, 4e6, 0.02,
+                             np.linspace(2.70e9, 3.05e9, 701), noise_sigma=0.002, rng=rng)
+    fun, x0 = _captured(nvspin, lambda: fit_resonances(spectrum))
+    return fun, x0, np.array([2e6, 2e6, 2e6, 3e-3, 3e-3, 2e-3])
+
+
+PROBLEMS = {
+    # no minimiser, and NaN past x = 30: the steps lengthen, then shorten
+    # against the wall until the evaluation limit ends the start
+    "exponential": lambda: (lambda x: np.where(x > 30.0, np.nan, np.exp(-x)), np.zeros(1),
+                            np.ones(1)),
+    "rosenbrock": lambda: (_rosenbrock, np.array([-1.2, 1.0]), np.full(2, 0.5)),
+    "walled rosenbrock": lambda: (_walled_rosenbrock, np.array([-1.2, 1.0]), np.full(2, 0.3)),
+    "calibrate": _calibrate_problem,
+    "fit_orientation": _orientation_problem,
+    "fit_resonances": _dip_problem,
+}
+
+
+@functools.cache
+def _problem(name):
+    return PROBLEMS[name]()
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _stack_against_oracle(problem, k, seed, tol, nan_row):
+    """Solve k starts drawn about the problem's x0 as one stack and one by one
+    through lsq_oracle, and assert that every start's results agree bit for
+    bit. A start of NaNs goes in at index nan_row when that is < k: the stack
+    must then raise ValueError, as the oracle does for that start alone, and
+    the other starts are stacked again without it. Returns the oracle's
+    results (None for a start it refused) and every row the residual saw."""
+    fun, x0, scale = _problem(problem)
+    rows = []
+
+    def seen(x):
+        r = np.asarray(fun(x), dtype=float)
+        rows.extend(r.reshape(-1, r.shape[-1]))
+        return r
+
+    starts = x0 + scale * np.random.default_rng(seed).standard_normal((k, x0.size))
+    if nan_row < k:
+        starts[nan_row] = np.nan
+    kwargs = dict(xtol=tol, ftol=tol, gtol=tol)
+    expected = []
+    for start in starts:
+        try:
+            expected.append(lsq_oracle.least_squares(seen, start, **kwargs))
+        except ValueError:
+            expected.append(None)
+    kept = [e is not None for e in expected]
+    if not all(kept):
+        with pytest.raises(ValueError):
+            least_squares(fun, starts, **kwargs)
+    got = least_squares(fun, starts[kept], **kwargs) if any(kept) else []
+    assert len(got) == sum(kept)
+    for ours, theirs in zip(got, [e for e in expected if e is not None]):
+        for field in ("x", "fun", "jac", "cost"):
+            assert _bits(getattr(ours, field)) == _bits(getattr(theirs, field)), field
+        assert np.shape(ours.jac) == np.shape(theirs.jac)
+        assert type(ours.nfev) is int and ours.nfev == theirs.nfev
+        assert ours.success == theirs.success
+    return expected, rows
+
+
+# each @example reaches one edge of the solver; the test below checks that it does
+EDGES = {
+    "evaluation limit": dict(problem="exponential", k=3, seed=1, tol=1e-8, nan_row=9),
+    "rejected non-finite trial": dict(problem="walled rosenbrock", k=3, seed=2, tol=1e-14,
+                                      nan_row=9),
+    "non-finite start": dict(problem="calibrate", k=3, seed=3, tol=1e-14, nan_row=1),
+}
+
+
+@given(problem=st.sampled_from(sorted(PROBLEMS)), k=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1), tol=st.sampled_from([0.0, 1e-14, 1e-8]),
+       nan_row=st.integers(0, 9))
+@settings(max_examples=30, deadline=None)
+@example(**EDGES["evaluation limit"])
+@example(**EDGES["rejected non-finite trial"])
+@example(**EDGES["non-finite start"])
+def test_stacked_starts_match_one_start_solves(problem, k, seed, tol, nan_row):
+    _stack_against_oracle(problem, k, seed, tol, nan_row)
+
+
+def test_oracle_examples_reach_the_solver_edges():
+    expected, _ = _stack_against_oracle(**EDGES["evaluation limit"])
+    assert any(not e.success and e.nfev == 100 for e in expected)
+    _, rows = _stack_against_oracle(**EDGES["rejected non-finite trial"])
+    assert any(not np.all(np.isfinite(r)) for r in rows)
+    expected, _ = _stack_against_oracle(**EDGES["non-finite start"])
+    assert expected[1] is None and expected[0] is not None

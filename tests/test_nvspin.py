@@ -1,11 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fieldarm.errors import DegenerateFit, InsufficientData, ZeroMagnitude
+from fieldarm import nvspin
+from fieldarm.errors import ComplexRoots, DegenerateFit, FitDiverged, InsufficientData, ZeroMagnitude
+from fieldarm.lsq import least_squares
 from fieldarm.nvspin import (
     GAMMA_E_DEFAULT,
     NVParams,
@@ -194,6 +197,83 @@ def test_fit_orientation_noise_free_recovery():
     assert abs(fit.alpha_y_nv - NV_AXIS[0]) < np.deg2rad(0.1)
     assert abs(fit.alpha_z_nv - NV_AXIS[1]) < np.deg2rad(0.1)
     assert fit.residual_rms < 1e3
+
+
+def test_fit_orientation_refines_its_starts_as_one_stack():
+    stacks = []
+
+    def record(fun, x0, **kwargs):
+        stacks.append(np.shape(x0))
+        return least_squares(fun, x0, **kwargs)
+    with mock.patch.object(nvspin, "least_squares", record):
+        fit_orientation(make_trajectory(), D_ANCHOR, PI_ANCHOR)
+    assert stacks == [(nvspin.FIT_REFINE_STARTS, 3)]
+
+
+def test_fit_orientation_without_a_finite_start_diverges():
+    # Pi^2 overflows: every grid start's residuals are NaN, so none is refined
+    with pytest.raises(FitDiverged):
+        fit_orientation(make_trajectory(), D_ANCHOR, 1e306)
+
+
+def test_fit_orientation_drops_a_start_whose_cubic_fails():
+    """A ComplexRoots from one start leaves the others, each refined alone."""
+    traj = make_trajectory(noise=2e4, rng=np.random.default_rng(0))
+    seen = []
+
+    def record(fun, x0, **kwargs):
+        seen.append((fun, np.array(x0)))
+        return least_squares(fun, x0, **kwargs)
+    with mock.patch.object(nvspin, "least_squares", record):
+        fit_orientation(traj, D_ANCHOR, PI_ANCHOR)
+    (fun, starts), = seen
+    others = [least_squares(fun, s, xtol=1e-14, ftol=1e-14, gtol=1e-14)
+              for s in starts[1:]]
+    best = min(others, key=lambda sol: sol.cost)
+
+    def failing(fun, x0, **kwargs):
+        if np.ndim(x0) == 2 or np.array_equal(x0, starts[0]):
+            raise ComplexRoots("characteristic cubic has complex roots")
+        return least_squares(fun, x0, **kwargs)
+    with mock.patch.object(nvspin, "least_squares", failing):
+        fit = fit_orientation(traj, D_ANCHOR, PI_ANCHOR)
+    assert (fit.alpha_y_nv, fit.alpha_z_nv) == (best.x[0] % np.pi, best.x[1] % np.pi)
+
+
+def _two_deepest_minima_loop(f, c):
+    """The loop form of nvspin._two_deepest_minima, as the reference."""
+    win = max(3, len(c) // 200)
+    cs = np.convolve(c, np.ones(win) / win, mode="same")
+    min_separation = (f.max() - f.min()) / 20.0
+    minima = []
+    for i in range(1, len(cs) - 1):
+        if cs[i] <= cs[i - 1] and cs[i] <= cs[i + 1]:
+            minima.append((cs[i], f[i]))
+    minima.sort()
+    picked = []
+    for _, freq in minima:
+        if all(abs(freq - other) >= min_separation for other in picked):
+            picked.append(freq)
+        if len(picked) == 2:
+            break
+    return picked
+
+
+@given(levels=st.lists(st.integers(0, 3), min_size=3, max_size=300),
+       freqs=st.sampled_from(["grid", "shuffled", "repeated"]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_two_deepest_minima_is_the_loop(levels, freqs, seed):
+    # few contrast levels, so smoothed values tie and the frequency breaks ties
+    rng = np.random.default_rng(seed)
+    c = 1.0 - 0.01 * np.array(levels, dtype=float)
+    f = np.linspace(2.7e9, 3.05e9, len(c))
+    if freqs == "shuffled":
+        f = rng.permutation(f)
+    elif freqs == "repeated":
+        f = rng.choice(f[:3], len(c))
+    got = nvspin._two_deepest_minima(f, c)
+    want = _two_deepest_minima_loop(f, c)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_fit_orientation_requires_enough_rows():
