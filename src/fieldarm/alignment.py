@@ -193,7 +193,8 @@ def amplitude_schedule(targets, spec: MagnetSpec, direction, sample,
 
     def magnitude(r):
         r = np.asarray(r, dtype=float)
-        return np.linalg.norm(cylinder_field(spec, sample - r[..., None] * n, n, sample), axis=-1)
+        B = cylinder_field(spec, sample - r[..., None] * n, n, sample)
+        return np.sqrt(row_dot(B, B))
 
     B_hi, B_lo = magnitude([r_min, SCHEDULE_MAX_DISTANCE_M])
     unreachable = ~((targets >= B_lo) & (targets <= B_hi))
@@ -212,16 +213,14 @@ def amplitude_schedule(targets, spec: MagnetSpec, direction, sample,
     return AmplitudeSchedule(targets, distances, achieved, achieved - targets, bounds)
 
 
-def similarity(B1, B2, d_mT=SIMILARITY_SCALE_MT) -> float:
+def similarity(B1, B2) -> float:
     """Gaussian kernel similarity in (0, 1]: exp(-||B2-B1||^2 / (2 d^2)).
 
     Fields in tesla; the norm is evaluated in millitesla with length scale
-    `d_mT` (default 3 mT).
+    d = SIMILARITY_SCALE_MT.
     """
-    if d_mT <= 0:
-        raise ValueError("similarity length scale must be > 0")
     diff_mT = (np.asarray(B2, dtype=float) - np.asarray(B1, dtype=float)) * 1e3
-    return float(math.exp(-float(diff_mT @ diff_mT) / (2.0 * d_mT**2)))
+    return float(math.exp(-float(diff_mT @ diff_mT) / (2.0 * SIMILARITY_SCALE_MT**2)))
 
 
 FAR_FIELD_DIAMETERS = 8.0
@@ -289,12 +288,9 @@ def replace_forbidden_pose(forbidden: Pose, sample, spec: MagnetSpec, env, dh,
         r_hat = r_vec / r0
         n = rotated.axis
 
-        # |B| row by row: norm(axis=-1) sums in another order, and a last-bit
-        # difference could change the search's decisions
         def magnitude(dist):
             B = cylinder_field(spec, sample - np.asarray(dist)[..., None] * r_hat, n, sample)
-            return np.array([float(np.linalg.norm(b)) for b in B.reshape(-1, 3)]
-                            ).reshape(np.shape(dist))
+            return np.sqrt(row_dot(B, B))
 
         B_rot = cylinder_field(spec, rotated.position, n, sample)
         r_guess = r0 * (np.linalg.norm(B_rot) / target_mag) ** (1.0 / 3.0)

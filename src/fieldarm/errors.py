@@ -80,7 +80,3 @@ class FinalPoseForbidden(FieldArmError):
 
 class StateMixingTooStrong(FieldArmError):
     """No eigenstate retains majority overlap with the ms = 0 basis state."""
-
-
-class ComplexRoots(FieldArmError):
-    """Characteristic cubic produced complex roots (parameter error)."""

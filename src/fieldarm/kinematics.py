@@ -188,18 +188,9 @@ def _pose_error(T_target: np.ndarray, T_current: np.ndarray) -> np.ndarray:
 
 def _jacobian_from_frames(frames) -> np.ndarray:
     """Geometric 6x6 Jacobian (linear on top, angular below) at the TCP."""
-    p_tcp = frames[-1][:3, 3]
-    J = np.empty((6, N_JOINTS))
-    for i in range(N_JOINTS):
-        zx, zy, zz = frames[i][:3, 2]
-        rx, ry, rz = p_tcp - frames[i][:3, 3]
-        J[0, i] = zy * rz - zz * ry
-        J[1, i] = zz * rx - zx * rz
-        J[2, i] = zx * ry - zy * rx
-        J[3, i] = zx
-        J[4, i] = zy
-        J[5, i] = zz
-    return J
+    z, o = frames[:N_JOINTS, :3, 2], frames[:N_JOINTS, :3, 3]
+    # C order: the DLS solve rounds differently on a transposed view
+    return np.ascontiguousarray(np.hstack([np.cross(z, frames[-1, :3, 3] - o), z]).T)
 
 
 def _dls_solve(dh, T_target, q0):

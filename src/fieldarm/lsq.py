@@ -135,3 +135,14 @@ def least_squares(fun, x0, xtol=1e-8, ftol=1e-8, gtol=1e-8):
         searching = [s for s, v in zip(searching, verdicts) if v == "retry"]
     results = [LeastSquaresResult(s.x, s.f, s.jac, s.cost, s.nfev, s.success) for s in starts]
     return results if np.ndim(x0) == 2 else results[0]
+
+
+def parameter_errors(sol: LeastSquaresResult) -> np.ndarray:
+    """1-sigma errors of a fit: the square roots of the diagonal of the
+    covariance ||f||^2 / (m - n) (J^T J)^-1, for m residuals and n parameters.
+
+    Raises numpy.linalg.LinAlgError when J^T J is singular.
+    """
+    m, n = sol.jac.shape
+    cov = float(sol.fun @ sol.fun) / (m - n) * np.linalg.inv(sol.jac.T @ sol.jac)
+    return np.sqrt(np.maximum(np.diag(cov), 0.0))

@@ -11,16 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ComplexRoots,
-    DegenerateFit,
-    FitDiverged,
-    InsufficientData,
-    StateMixingTooStrong,
-    ZeroMagnitude,
-)
+from .errors import DegenerateFit, FitDiverged, InsufficientData, StateMixingTooStrong, ZeroMagnitude
 from .kinematics import unit_normal
-from .lsq import least_squares
+from .lsq import least_squares, parameter_errors
 from .magnetostatics import GAMMA_E_DEFAULT
 
 FIT_GRID_SIZE = 12  # start angles per axis of fit_orientation's grid
@@ -138,8 +131,10 @@ def characteristic_roots(D, Pi, beta, gamma_angle):
     when the transverse field bisects the strain axes (azimuth pi/4, where
     the Pi-B_perp cross term vanishes); at other azimuths the roots differ by
     a term of order Pi * (gamma_e B_perp)^2 / D^2. Solved by the
-    trigonometric (Viete) method; raises ComplexRoots if the discriminant
-    indicates a non-physical parameter set. Broadcasts over array inputs.
+    trigonometric (Viete) method. The cubic is the characteristic polynomial
+    of a Hermitian matrix, so its roots are real for every real input (Kopp
+    2008); the arccos argument is clipped against rounding, and a non-finite
+    input gives NaN roots. Broadcasts over array inputs.
     """
     D, Pi, beta, gamma_angle = (np.asarray(v, dtype=float) for v in (D, Pi, beta, gamma_angle))
     p = -(D * D / 3.0 + Pi * Pi + beta * beta)
@@ -148,11 +143,6 @@ def characteristic_roots(D, Pi, beta, gamma_angle):
         - (D / 6.0) * (4.0 * Pi * Pi + beta * beta)
         + 2.0 * D**3 / 27.0
     )
-    # three real roots require 4p^3 + 27q^2 <= 0
-    disc = 4.0 * p**3 + 27.0 * q * q
-    scale = np.maximum(np.abs(p) ** 3, 1e-300)
-    if np.any(disc > 1e-9 * scale):
-        raise ComplexRoots("characteristic cubic has complex roots")
     m = 2.0 * np.sqrt(-p / 3.0)
     arg = np.minimum(np.maximum(3.0 * q / (p * m), -1.0), 1.0)
     phi = np.arccos(arg) / 3.0
@@ -222,16 +212,7 @@ def fit_orientation(trajectory, D, Pi, gamma_e=GAMMA_E_DEFAULT) -> OrientationFi
     order = np.argsort(np.einsum("ij,ij->i", r, r), kind="stable")[:FIT_REFINE_STARTS]
     # the lowest-cost starts, refined together; one with non-finite residuals is left out
     starts = grid[order[np.all(np.isfinite(r[order]), axis=1)]]
-    tol = dict(xtol=1e-14, ftol=1e-14, gtol=1e-14)
-    try:
-        sols = least_squares(residual, starts, **tol)
-    except ComplexRoots:  # a start's cubic left its range: refine the rest alone
-        sols = []
-        for start in starts:
-            try:
-                sols.append(least_squares(residual, start, **tol))
-            except ComplexRoots:
-                continue
+    sols = least_squares(residual, starts, xtol=1e-14, ftol=1e-14, gtol=1e-14)
     best = min(sols, key=lambda sol: sol.cost, default=None)
     if best is None or not np.all(np.isfinite(best.x)):
         raise FitDiverged("orientation fit failed to converge")
@@ -244,19 +225,14 @@ def fit_orientation(trajectory, D, Pi, gamma_e=GAMMA_E_DEFAULT) -> OrientationFi
     if gam.max() - gam.min() < np.deg2rad(0.5):
         raise DegenerateFit("trajectory spans < 0.5 degrees in polar angle")
 
-    res = best.fun
-    dof = max(len(nu) - 3, 1)
-    sigma2 = float(res @ res) / dof
-    JTJ = best.jac.T @ best.jac
     try:
-        cov = sigma2 * np.linalg.inv(JTJ)
-        errs = np.sqrt(np.maximum(np.diag(cov), 0.0))
+        errs = parameter_errors(best)
     except np.linalg.LinAlgError:
         raise DegenerateFit("singular covariance: flat residual landscape") from None
     return OrientationFit(
         alpha_y_nv=float(ay), alpha_z_nv=float(az), B_fit=float(B),
         alpha_y_err=float(errs[0]), alpha_z_err=float(errs[1]), B_err=float(errs[2]),
-        residual_rms=math.sqrt(float(res @ res) / len(nu)),
+        residual_rms=math.sqrt(float(best.fun @ best.fun) / len(nu)),
     )
 
 
@@ -303,13 +279,15 @@ def _two_deepest_minima(f, c):
 
 
 def fit_resonances(spectrum: OdmrSpectrum) -> ResonancePair:
-    """Double-Lorentzian dip fit; falls back to one dip when they merge.
+    """Lorentzian dip fit: two dips with a shared width, or one when they merge.
 
-    The errors are the square roots of the diagonal of the covariance
-    2 cost / (m - n) (J^T J)^-1 for m spectrum points and n parameters.
+    The parameters are the dip centres, the width, the depths and the
+    baseline; the errors are lsq.parameter_errors of the fit.
     """
     f = spectrum.frequencies
     c = spectrum.contrast
+    if len(f) <= 4:
+        raise InsufficientData(f"need > 4 spectrum points, got {len(f)}")
     span = f.max() - f.min()
     depth0 = max(1.0 - c.min(), 1e-4)
     width0 = span / 20.0
@@ -317,29 +295,25 @@ def fit_resonances(spectrum: OdmrSpectrum) -> ResonancePair:
     if not mins:
         mins = [f[int(np.argmin(c))]]
     merged = len(mins) < 2 or abs(mins[0] - mins[1]) < width0 / 2.0
+    k = 1 if merged else 2
 
-    if merged:
-        def residual(p):  # (..., 4) -> (..., len(f))
-            f0, w, d, base = np.moveaxis(p, -1, 0)[..., None]
-            return base - d * _lorentzian_dip(f, f0, w) - c
+    def residual(p):  # (..., 2k + 2) -> (..., len(f))
+        q = np.moveaxis(p, -1, 0)[..., None]
+        centres, width, depths, r = q[:k], q[k], q[k + 1:-1], q[-1]
+        for f0, d in zip(centres, depths):  # base - d1 L1 - d2 L2 - c, left to right
+            r = r - d * _lorentzian_dip(f, f0, width)
+        return r - c
 
-        p0 = [mins[0], width0, depth0, 1.0]
-    else:
-        def residual(p):  # (..., 6) -> (..., len(f))
-            f1, f2, w, d1, d2, base = np.moveaxis(p, -1, 0)[..., None]
-            return base - d1 * _lorentzian_dip(f, f1, w) - d2 * _lorentzian_dip(f, f2, w) - c
-
-        p0 = [*sorted(mins[:2]), width0, depth0, depth0, 1.0]
+    p0 = [*sorted(mins[:k]), width0, *[depth0] * k, 1.0]
     if len(f) <= len(p0):
         raise InsufficientData(f"need > {len(p0)} spectrum points, got {len(f)}")
     sol = least_squares(residual, p0)
     if not sol.success:
         raise FitDiverged("ODMR dip fit failed to converge")
     try:
-        cov = 2.0 * sol.cost / (len(f) - len(p0)) * np.linalg.inv(sol.jac.T @ sol.jac)
+        errs = parameter_errors(sol)
     except np.linalg.LinAlgError:
         raise FitDiverged("singular dip-fit covariance") from None
-    errs = np.sqrt(np.maximum(np.diag(cov), 0.0))
     if merged:
         f0 = float(sol.x[0])
         return ResonancePair(f0, f0, float(errs[0]), float(errs[0]), merged=True)

@@ -121,6 +121,28 @@ def test_jacobian_matches_finite_differences():
         assert np.allclose(J[3:, i], w, atol=1e-5)
 
 
+def _jacobian_loop(frames):
+    """The per-joint loop form of _jacobian_from_frames, as the reference."""
+    p_tcp = frames[-1][:3, 3]
+    J = np.empty((6, 6))
+    for i in range(6):
+        zx, zy, zz = frames[i][:3, 2]
+        rx, ry, rz = p_tcp - frames[i][:3, 3]
+        J[:, i] = [zy * rz - zz * ry, zz * rx - zx * rz, zx * ry - zy * rx, zx, zy, zz]
+    return J
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_TABLES))
+@given(u=UNIT6)
+@settings(max_examples=100, deadline=None)
+def test_jacobian_is_the_loop_form_bit_for_bit(name, u):
+    dh = BUNDLED_TABLES[name]
+    frames = frame_chain(dh, _in_range(dh, u))
+    J = _jacobian_from_frames(frames)
+    assert J.flags.c_contiguous  # the DLS solve rounds differently on a transposed view
+    assert J.tobytes() == _jacobian_loop(frames).tobytes()
+
+
 def test_ik_round_trip_on_fk_targets():
     dh = default_dh_table()
     rng = np.random.default_rng(11)

@@ -13,7 +13,7 @@ from scipy.optimize import curve_fit
 from scipy.optimize import least_squares as scipy_least_squares
 
 from fieldarm import alignment, nvspin
-from fieldarm.errors import ComplexRoots, DegenerateFit
+from fieldarm.errors import DegenerateFit
 from fieldarm.kinematics import magnet_pose_for_field_direction
 from fieldarm.lsq import least_squares
 from fieldarm.magnetostatics import cylinder_field, default_magnet_spec
@@ -55,7 +55,7 @@ def _with_oracle(module, calls):
         for sol, start in zip(ours if np.ndim(x0) == 2 else [ours], np.atleast_2d(x0)):
             try:
                 theirs = scipy_least_squares(fun, start, **kwargs)
-            except (ComplexRoots, ValueError):
+            except ValueError:
                 theirs = None
             calls.append((sol, theirs))
         return ours
