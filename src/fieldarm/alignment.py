@@ -131,7 +131,7 @@ def calibrate_offsets(measured, spec: MagnetSpec, sample, standoff) -> Calibrati
         B = cylinder_field(spec, sample - standoff * n, n, sample)
         return (B - B_meas).reshape(*params.shape[:-1], -1)
 
-    sol = least_squares(residual, np.zeros(1 + n_mass), xtol=1e-14, ftol=1e-14, gtol=1e-14)
+    sol = least_squares(residual, np.zeros(1 + n_mass), tol=1e-14)
     if not sol.success or not np.all(np.isfinite(sol.x)):
         raise FitDiverged("offset calibration failed to converge")
     res = sol.fun

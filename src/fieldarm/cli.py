@@ -1,12 +1,10 @@
 """Command-line front end.
 
 Subcommands: scan, calibrate, schedule, partition, replace, odmr, fit-nv.
-The CLI boundary speaks millitesla and degrees by default (--units si
-switches to tesla/radians); everything internal is SI. Output artefacts
-embed the resolved configuration and seed in comment headers so a re-run
-with identical inputs is byte-identical, and files are written atomically
-(temp file + rename). Exit codes: 0 success, 1 runtime/algorithmic
-failure, 2 usage or configuration error.
+Output artefacts embed the resolved configuration and seed in comment
+headers so a re-run with identical inputs is byte-identical, and files are
+written atomically (temp file + rename). Exit codes: 0 success, 1
+runtime/algorithmic failure, 2 usage or configuration error.
 
 Every input is declared once, as a Flag in COMMON or COMMANDS (type or
 choices, default, help, Domain; an input CSV's columns with their Domains).
@@ -15,6 +13,11 @@ way; `--seed` and the configuration's `seed` share one.
 The parser and --help, the checks in _check_args (a value outside its
 domain is exit 2) and a CSV artefact's `# args` header all read these
 entries. A non-finite number never reaches an artefact: that is exit 1.
+
+Units are declared the same way: a Flag's `unit`, or an {angle} or {field}
+tag in a CSV column (Command.columns) or JSON key, names its quantity. UNITS
+gives each --units mode's label and factors into and out of SI (mT and deg
+by default, T and rad with --units si). Commands see and emit SI values.
 
 A subcommand imports only the layers it runs: environment (collision) for
 partition, replace and a config with meshes; nvspin for odmr and fit-nv.
@@ -34,15 +37,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .alignment import (
-    MAX_DISTANCE_M,
-    SCHEDULE_MAX_DISTANCE_M,
-    amplitude_schedule,
-    angular_error,
-    calibrate_offsets,
-    replace_forbidden_pose,
-    sphere_segment_scan,
-)
+from .alignment import (MAX_DISTANCE_M, SCHEDULE_MAX_DISTANCE_M, amplitude_schedule,
+                        angular_error, calibrate_offsets, replace_forbidden_pose,
+                        sphere_segment_scan)
 from .config import (FINITE, INDEX, NON_NEGATIVE, POSITIVE, REQUIRED, Domain, RunConfig,
                      config_from_dict, count, load_config, up_to)
 from .errors import ConfigError, FieldArmError, InsufficientData, ParseError, UsageError
@@ -52,6 +49,20 @@ from .magnetostatics import GAMMA_E_DEFAULT
 _USAGE_ERRORS = (ConfigError, ParseError, InsufficientData, UsageError)
 
 
+class Unit(NamedTuple):
+    label: str    # replaces the quantity's tag in a name
+    into: float   # given value -> SI
+    out: float    # SI -> written value
+
+
+# math.radians and math.degrees multiply by these same constants
+UNITS = {
+    "mT-deg": {"angle": Unit("deg", math.pi / 180.0, 180.0 / math.pi),
+               "field": Unit("mT", 1e-3, 1e3)},
+    "si": {"angle": Unit("rad", 1.0, 1.0), "field": Unit("T", 1.0, 1.0)},
+}
+
+
 class Flag(NamedTuple):
     name: str                # option --name with "_" as "-"; the argparse dest
     kind: object = float     # a type, or a tuple of choices
@@ -59,6 +70,7 @@ class Flag(NamedTuple):
     domain: Domain = None    # every int and float flag has one
     help: str = ""
     columns: dict = None     # an input CSV: column name -> Domain
+    unit: str = None         # "angle" or "field": given in the --units mode's unit
 
     @property
     def option(self):
@@ -72,6 +84,9 @@ class Flag(NamedTuple):
         if self.columns:
             text += " with columns " + ", ".join(
                 f"{name} ({domain.text})" for name, domain in self.columns.items())
+        if self.unit:
+            text += (f"; {UNITS['mT-deg'][self.unit].label}, "
+                     f"or {UNITS['si'][self.unit].label} with --units si")
         return text
 
 
@@ -79,16 +94,16 @@ COMMON = (
     Flag("config", str, help="YAML run configuration file"),
     Flag("seed", int, domain=INDEX, help="override the configuration seed"),
     Flag("out", str, help="output artefact path (default: stdout)"),
-    Flag("units", ("mT-deg", "si"), "mT-deg", help="units at the CLI boundary (default: mT-deg)"),
+    Flag("units", tuple(UNITS), "mT-deg", help="units at the CLI boundary (default: mT-deg)"),
 )
 # the standoff must also clear the magnet's half-length (_check_args)
 STANDOFF = Flag("standoff_m", default=0.16, domain=up_to(MAX_DISTANCE_M))
 GRID = (
-    Flag("ay_start", default=REQUIRED, domain=FINITE),
-    Flag("ay_stop", default=REQUIRED, domain=FINITE),
+    Flag("ay_start", default=REQUIRED, domain=FINITE, unit="angle"),
+    Flag("ay_stop", default=REQUIRED, domain=FINITE, unit="angle"),
     Flag("ay_steps", int, REQUIRED, count(1000)),
-    Flag("az_start", default=REQUIRED, domain=FINITE),
-    Flag("az_stop", default=REQUIRED, domain=FINITE),
+    Flag("az_start", default=REQUIRED, domain=FINITE, unit="angle"),
+    Flag("az_stop", default=REQUIRED, domain=FINITE, unit="angle"),
     Flag("az_steps", int, REQUIRED, count(1000)),
     STANDOFF,
 )
@@ -114,24 +129,10 @@ def _fmt(x) -> str:
     return format(x, ".10g")
 
 
-class Units:
-    """Unit conversion at the CLI boundary: mT/deg (default) or SI."""
-
-    def __init__(self, mode):
-        self.boundary = mode == "mT-deg"
-        self.angle_label, self.field_label = ("deg", "mT") if self.boundary else ("rad", "T")
-
-    def angle_in(self, v):   # CLI -> rad
-        return math.radians(v) if self.boundary else v
-
-    def angle_out(self, v):  # rad -> CLI
-        return math.degrees(v) if self.boundary else v
-
-    def field_in(self, v):   # CLI -> T
-        return v * 1e-3 if self.boundary else v
-
-    def field_out(self, v):  # T -> CLI
-        return np.asarray(v) * 1e3 if self.boundary else np.asarray(v)
+def _in_unit(name, units):
+    """A name with its tag filled in, and its factor out of SI (None if untagged)."""
+    q = next((k for k in units if "{" + k + "}" in name), None)
+    return name.format(**{k: unit.label for k, unit in units.items()}), units[q].out if q else None
 
 
 def _atomic_write(path, text):
@@ -158,15 +159,30 @@ def _compact_json(value):
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-def _emit_csv(args, config: RunConfig, columns, rows):
-    """The CSV artefact; its header records the config, seed and declared flags."""
-    flags = {flag.name: getattr(args, flag.name) for flag in COMMANDS[args.command].flags}
+def _emit_csv(args, config: RunConfig, rows):
+    """The CSV artefact; its header records the config, seed and flags as given."""
+    names, factors = zip(*(_in_unit(c, UNITS[args.units]) for c in COMMANDS[args.command].columns))
     buf = io.StringIO()
     for line in (f"fieldarm {args.command}", f"config {_compact_json(config.resolved)}",
-                 f"seed {config.seed}", f"args {_compact_json(flags)}", f"units {args.units}"):
+                 f"seed {config.seed}", f"args {_compact_json(args.given)}", f"units {args.units}"):
         buf.write(f"# {line}\n")
-    csv.writer(buf, lineterminator="\n").writerows([columns, *rows])
+    csv.writer(buf, lineterminator="\n").writerows([
+        names, *([cell if isinstance(cell, (str, int)) else _fmt(cell * (f or 1.0))
+                  for cell, f in zip(row, factors)] for row in rows)])
     _emit(args, buf.getvalue())
+
+
+def _in_units(payload, units):
+    """An SI payload with each tagged key (nested dicts too) named and scaled."""
+    converted = {}
+    for key, value in payload.items():
+        name, f = _in_unit(key, units)
+        if isinstance(value, dict):
+            value = _in_units(value, units)
+        elif f:
+            value = [float(v * f) for v in value] if np.ndim(value) else float(value * f)
+        converted[name] = value
+    return converted
 
 
 def _json_text(payload):
@@ -178,7 +194,7 @@ def _json_text(payload):
 
 def _emit_json(args, config: RunConfig, payload):
     _emit(args, _json_text({"command": args.command, "config": config.resolved,
-                            "seed": config.seed, **payload}))
+                            "seed": config.seed, **_in_units(payload, UNITS[args.units])}))
 
 
 def _read_csv_rows(path, columns):
@@ -209,124 +225,91 @@ def _read_csv_rows(path, columns):
     return rows
 
 
-def _pose_dict(pose: Pose, units: Units):
-    return {
-        "x_m": float(pose.x), "y_m": float(pose.y), "z_m": float(pose.z),
-        f"alpha_x_{units.angle_label}": float(units.angle_out(pose.alpha_x)),
-        f"alpha_y_{units.angle_label}": float(units.angle_out(pose.alpha_y)),
-        f"alpha_z_{units.angle_label}": float(units.angle_out(pose.alpha_z)),
-    }
+def _pose_dict(pose: Pose):
+    return {"x_m": float(pose.x), "y_m": float(pose.y), "z_m": float(pose.z),
+            "alpha_x_{angle}": pose.alpha_x, "alpha_y_{angle}": pose.alpha_y,
+            "alpha_z_{angle}": pose.alpha_z}
 
 
-def _scan_points(args, config: RunConfig, units: Units):
-    ay = np.linspace(units.angle_in(args.ay_start), units.angle_in(args.ay_stop), args.ay_steps)
-    az = np.linspace(units.angle_in(args.az_start), units.angle_in(args.az_stop), args.az_steps)
+def _scan_points(args, config: RunConfig):
+    ay = np.linspace(args.ay_start, args.ay_stop, args.ay_steps)
+    az = np.linspace(args.az_start, args.az_stop, args.az_steps)
     return sphere_segment_scan(config.sample, ay, az, args.standoff_m, config.magnet)
 
 
-def cmd_scan(args, config: RunConfig, units: Units):
-    points = _scan_points(args, config, units)
+def cmd_scan(args, config: RunConfig):
+    points = _scan_points(args, config)
     ay, az = np.array([[pt.alpha_y, pt.alpha_z] for pt in points]).T
     errors = angular_error(np.array([pt.predicted_field for pt in points]), unit_normal(ay, az))
-    rows = [[_fmt(units.angle_out(pt.alpha_y)), _fmt(units.angle_out(pt.alpha_z)),
-             *(_fmt(b) for b in units.field_out(pt.predicted_field)),
-             _fmt(units.angle_out(err)), pt.order_index]
-            for pt, err in zip(points, errors)]
-    a, f = units.angle_label, units.field_label
-    columns = [f"alpha_y_{a}", f"alpha_z_{a}", f"Bx_{f}", f"By_{f}", f"Bz_{f}",
-               f"angular_error_{a}", "order_index"]
-    _emit_csv(args, config, columns, rows)
-    mean_err = units.angle_out(float(np.mean(errors)))
-    max_err = units.angle_out(float(np.max(errors)))
-    print(f"scan: {len(rows)} poses, mean angular error {mean_err:.6g} {a}, "
-          f"max {max_err:.6g} {a}", file=sys.stderr)
+    _emit_csv(args, config, [[pt.alpha_y, pt.alpha_z, *pt.predicted_field, err, pt.order_index]
+                             for pt, err in zip(points, errors)])
+    a = UNITS[args.units]["angle"]
+    print(f"scan: {len(points)} poses, mean angular error {float(np.mean(errors)) * a.out:.6g} "
+          f"{a.label}, max {float(np.max(errors)) * a.out:.6g} {a.label}", file=sys.stderr)
 
 
-def cmd_calibrate(args, config: RunConfig, units: Units):
-    measured = [
-        (math.radians(r["alpha_y_deg"]), math.radians(r["alpha_z_deg"]),
-         int(r["mass_index"]),
-         np.array([r["Bx_mT"], r["By_mT"], r["Bz_mT"]]) * 1e-3)
-        for r in args.rows
-    ]
+def cmd_calibrate(args, config: RunConfig):
+    measured = [(math.radians(r["alpha_y_deg"]), math.radians(r["alpha_z_deg"]),
+                 int(r["mass_index"]), np.array([r["Bx_mT"], r["By_mT"], r["Bz_mT"]]) * 1e-3)
+                for r in args.rows]
     result = calibrate_offsets(measured, config.magnet, config.sample, args.standoff_m)
-    _emit_json(args, config, {
-        f"delta_alpha_y_{units.angle_label}": float(units.angle_out(result.delta_alpha_y)),
-        f"delta_alpha_z_{units.angle_label}": [float(units.angle_out(v))
-                                               for v in result.delta_alpha_z],
-        f"residual_rms_{units.field_label}": float(units.field_out(result.residual_rms)),
-    })
+    _emit_json(args, config, {"delta_alpha_y_{angle}": result.delta_alpha_y,
+                              "delta_alpha_z_{angle}": result.delta_alpha_z,
+                              "residual_rms_{field}": result.residual_rms})
 
 
-def cmd_schedule(args, config: RunConfig, units: Units):
-    targets = np.linspace(units.field_in(args.b_start), units.field_in(args.b_stop),
-                          args.steps)
-    direction = unit_normal(units.angle_in(args.ay), units.angle_in(args.az))
-    sched = amplitude_schedule(targets, config.magnet, direction, config.sample,
+def cmd_schedule(args, config: RunConfig):
+    sched = amplitude_schedule(np.linspace(args.b_start, args.b_stop, args.steps),
+                               config.magnet, unit_normal(args.ay, args.az), config.sample,
                                resolution=args.resolution_m)
-    f = units.field_label
-    columns = [f"target_{f}", "distance_m", f"achieved_{f}", f"error_{f}", f"error_bound_{f}"]
-    rows = [
-        [_fmt(units.field_out(sched.targets[i])), _fmt(sched.distances[i]),
-         _fmt(units.field_out(sched.achieved[i])), _fmt(units.field_out(sched.errors[i])),
-         _fmt(units.field_out(sched.error_bounds[i]))]
-        for i in range(len(sched.targets))
-    ]
-    _emit_csv(args, config, columns, rows)
+    _emit_csv(args, config, zip(sched.targets, sched.distances, sched.achieved, sched.errors,
+                                sched.error_bounds))
 
 
-def cmd_partition(args, config: RunConfig, units: Units):
+def cmd_partition(args, config: RunConfig):
     from .environment import partition_pose_dictionary  # deferred: only partition loads it
-    points = _scan_points(args, config, units)
+    points = _scan_points(args, config)
     results = partition_pose_dictionary([pt.pose for pt in points], config.dh,
                                         config.environment, random_seed=config.seed)
-    a = units.angle_label
-    columns = [f"alpha_y_{a}", f"alpha_z_{a}", "status", "order_index"]
-    rows = [
-        [_fmt(units.angle_out(pt.alpha_y)), _fmt(units.angle_out(pt.alpha_z)),
-         res.status.value, pt.order_index]
-        for pt, res in zip(points, results)
-    ]
-    _emit_csv(args, config, columns, rows)
+    _emit_csv(args, config, [[pt.alpha_y, pt.alpha_z, res.status.value, pt.order_index]
+                             for pt, res in zip(points, results)])
 
 
-def cmd_replace(args, config: RunConfig, units: Units):
-    forbidden = magnet_pose_for_field_direction(config.sample, units.angle_in(args.ay),
-                                                units.angle_in(args.az), args.standoff_m)
+def cmd_replace(args, config: RunConfig):
+    forbidden = magnet_pose_for_field_direction(config.sample, args.ay, args.az, args.standoff_m)
     plan = replace_forbidden_pose(
         forbidden, config.sample, config.magnet, config.environment, config.dh,
         displacement_axis=args.axis, search_step=args.step_m, max_steps=args.max_steps,
         rng=config.seed,
     )
-    f = units.field_label
     _emit_json(args, config, {
-        "original_pose": _pose_dict(plan.original_pose, units),
-        "displaced_pose": _pose_dict(plan.displaced_pose, units),
-        "rotated_pose": _pose_dict(plan.rotated_pose, units),
-        "final_pose": _pose_dict(plan.final_pose, units),
-        f"target_field_{f}": [float(v) for v in units.field_out(plan.target_field)],
-        f"achieved_field_{f}": [float(v) for v in units.field_out(plan.achieved_field)],
+        "original_pose": _pose_dict(plan.original_pose),
+        "displaced_pose": _pose_dict(plan.displaced_pose),
+        "rotated_pose": _pose_dict(plan.rotated_pose),
+        "final_pose": _pose_dict(plan.final_pose),
+        "target_field_{field}": plan.target_field,
+        "achieved_field_{field}": plan.achieved_field,
         "similarity": float(plan.similarity),
         "far_field_ok": bool(plan.far_field_ok),
         "identity": bool(plan.identity),
     })
 
 
-def cmd_odmr(args, config: RunConfig, units: Units):
+def cmd_odmr(args, config: RunConfig):
     from .nvspin import NVParams, odmr_spectrum  # deferred: only odmr and fit-nv load nvspin
     params = NVParams(D=args.d_GHz * 1e9, Pi=args.pi_MHz * 1e6,
                       gamma_e=args.gamma_GHz_per_T * 1e9)
-    B_nv = np.array([units.field_in(b) for b in (args.bx, args.by, args.bz)])
     grid = np.linspace(args.f_start_MHz * 1e6, args.f_stop_MHz * 1e6, args.points)
-    spectrum = odmr_spectrum(params, B_nv, args.linewidth_MHz * 1e6, args.depth, grid,
+    spectrum = odmr_spectrum(params, np.array([args.bx, args.by, args.bz]),
+                             args.linewidth_MHz * 1e6, args.depth, grid,
                              noise_sigma=args.noise, rng=np.random.default_rng(config.seed))
-    rows = [[_fmt(fq * 1e-6), _fmt(c)] for fq, c in zip(spectrum.frequencies, spectrum.contrast)]
-    _emit_csv(args, config, ["freq_MHz", "contrast"], rows)
+    _emit_csv(args, config, zip(spectrum.frequencies * 1e-6, spectrum.contrast))
 
 
-def cmd_fit_nv(args, config: RunConfig, units: Units):
+def cmd_fit_nv(args, config: RunConfig):
     # deferred: only odmr and fit-nv load nvspin
     from .nvspin import fit_orientation, normalize_splittings
+    # subtract in MHz, then scale: scaling first changes the last bits
     splittings = np.array([(r["f_plus_MHz"] - r["f_minus_MHz"]) * 1e6 for r in args.rows])
     magnitudes = np.array([r["B_hall_mT"] * 1e-3 for r in args.rows])
     nu_n = normalize_splittings(splittings, magnitudes)
@@ -334,14 +317,10 @@ def cmd_fit_nv(args, config: RunConfig, units: Units):
                   for r, nu in zip(args.rows, nu_n)]
     fit = fit_orientation(trajectory, D=args.d_GHz * 1e9, Pi=args.pi_MHz * 1e6,
                           gamma_e=args.gamma_GHz_per_T * 1e9)
-    a = units.angle_label
     _emit_json(args, config, {
-        f"alpha_y_nv_{a}": float(units.angle_out(fit.alpha_y_nv)),
-        f"alpha_z_nv_{a}": float(units.angle_out(fit.alpha_z_nv)),
-        f"alpha_y_err_{a}": float(units.angle_out(fit.alpha_y_err)),
-        f"alpha_z_err_{a}": float(units.angle_out(fit.alpha_z_err)),
-        f"B_fit_{units.field_label}": float(units.field_out(fit.B_fit)),
-        f"B_err_{units.field_label}": float(units.field_out(fit.B_err)),
+        "alpha_y_nv_{angle}": fit.alpha_y_nv, "alpha_z_nv_{angle}": fit.alpha_z_nv,
+        "alpha_y_err_{angle}": fit.alpha_y_err, "alpha_z_err_{angle}": fit.alpha_z_err,
+        "B_fit_{field}": fit.B_fit, "B_err_{field}": fit.B_err,
         "residual_rms_Hz": float(fit.residual_rms),
         "notes": "NV axis and its negation are equivalent; angles reported in [0, 180) deg",
     })
@@ -351,40 +330,44 @@ class Command(NamedTuple):
     run: Callable
     help: str
     flags: tuple
+    columns: tuple = None  # a CSV artefact's columns, in order
 
 
 COMMANDS = {
-    "scan": Command(cmd_scan, "sphere-segment scan CSV with angular errors", GRID),
+    "scan": Command(cmd_scan, "sphere-segment scan CSV with angular errors", GRID, (
+        "alpha_y_{angle}", "alpha_z_{angle}", "Bx_{field}", "By_{field}", "Bz_{field}",
+        "angular_error_{angle}", "order_index")),
     "calibrate": Command(cmd_calibrate, "fit pose offsets from a measurement CSV",
                          (CALIBRATION_CSV, STANDOFF)),
     "schedule": Command(cmd_schedule, "amplitude schedule along a fixed ray", (
-        Flag("b_start", default=REQUIRED, domain=FINITE, help="first target amplitude"),
-        Flag("b_stop", default=REQUIRED, domain=FINITE, help="last target amplitude"),
+        Flag("b_start", default=REQUIRED, domain=FINITE, help="first target amplitude", unit="field"),
+        Flag("b_stop", default=REQUIRED, domain=FINITE, help="last target amplitude", unit="field"),
         Flag("steps", int, REQUIRED, count(10_000)),
-        Flag("ay", default=0.0, domain=FINITE, help="ray direction angle"),
-        Flag("az", default=0.0, domain=FINITE, help="ray direction angle"),
+        Flag("ay", default=0.0, domain=FINITE, help="ray direction angle", unit="angle"),
+        Flag("az", default=0.0, domain=FINITE, help="ray direction angle", unit="angle"),
         Flag("resolution_m", default=0.0005, domain=up_to(SCHEDULE_MAX_DISTANCE_M)),
-    )),
-    "partition": Command(cmd_partition, "classify scan poses as reachable/forbidden", GRID),
+    ), ("target_{field}", "distance_m", "achieved_{field}", "error_{field}", "error_bound_{field}")),
+    "partition": Command(cmd_partition, "classify scan poses as reachable/forbidden", GRID,
+                         ("alpha_y_{angle}", "alpha_z_{angle}", "status", "order_index")),
     "replace": Command(cmd_replace, "replace one collision-forbidden pose", (
-        Flag("ay", default=REQUIRED, domain=FINITE, help="forbidden pose angle"),
-        Flag("az", default=REQUIRED, domain=FINITE, help="forbidden pose angle"),
+        Flag("ay", default=REQUIRED, domain=FINITE, help="forbidden pose angle", unit="angle"),
+        Flag("az", default=REQUIRED, domain=FINITE, help="forbidden pose angle", unit="angle"),
         STANDOFF,
         Flag("axis", ("y", "z"), "y"),
         Flag("step_m", default=0.005, domain=POSITIVE),
         Flag("max_steps", int, 40, count(10_000)),
     )),
     "odmr": Command(cmd_odmr, "synthetic ODMR spectrum CSV", NV + (
-        Flag("bx", default=0.0, domain=FINITE, help="NV-frame field component"),
-        Flag("by", default=0.0, domain=FINITE, help="NV-frame field component"),
-        Flag("bz", default=0.0, domain=FINITE, help="NV-frame field component"),
+        Flag("bx", default=0.0, domain=FINITE, help="NV-frame field component", unit="field"),
+        Flag("by", default=0.0, domain=FINITE, help="NV-frame field component", unit="field"),
+        Flag("bz", default=0.0, domain=FINITE, help="NV-frame field component", unit="field"),
         Flag("f_start_MHz", default=2700.0, domain=FINITE),
         Flag("f_stop_MHz", default=3050.0, domain=FINITE),
         Flag("points", int, 1001, count(1_000_000)),
         Flag("linewidth_MHz", default=5.0, domain=up_to(10_000)),
         Flag("depth", default=0.02, domain=Domain("in (0, 1)", lambda v: 0 < v < 1)),
         Flag("noise", default=0.0, domain=NON_NEGATIVE),
-    )),
+    ), ("freq_MHz", "contrast")),
     "fit-nv": Command(cmd_fit_nv, "fit NV axis orientation from a trajectory CSV",
                       (TRAJECTORY_CSV,) + NV),
 }
@@ -449,7 +432,13 @@ def main(argv=None) -> int:
         if args.seed is not None:
             config = dataclasses.replace(config, resolved={**config.resolved, "seed": args.seed})
         _check_args(args, config)
-        COMMANDS[args.command].run(args, config, Units(args.units))
+        command = COMMANDS[args.command]
+        # the flags as given, for the header; converted here, as --units may follow them
+        args.given = {flag.name: getattr(args, flag.name) for flag in command.flags}
+        for flag in command.flags:
+            if flag.unit:
+                setattr(args, flag.name, args.given[flag.name] * UNITS[args.units][flag.unit].into)
+        command.run(args, config)
         return 0
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -270,7 +270,6 @@ class AabbTree:
     """
 
     def __init__(self, mesh: TriangleMesh):
-        self.mesh = mesh
         self.triangles = mesh.vertices[mesh.triangles]   # (M, 3, 3)
         # (3, M), one contiguous row per axis for the broad phase's comparisons
         self.lo = np.ascontiguousarray(self.triangles.min(axis=1).T)

@@ -54,13 +54,13 @@ class _Start:
         self.nfev, self.scale = 1, np.zeros(x.size)
         self.mu, self.nu, self.success = None, 2.0, False
 
-    def factor(self, gtol, max_nfev):
+    def factor(self, tol, max_nfev):
         """Test convergence at a new Jacobian, else factor it and set a trial
         step; False when the start is finished."""
         J, f = self.jac, self.f
         norms = np.linalg.norm(J, axis=0)
         cosines = np.abs(J.T @ f) / np.maximum(norms * math.sqrt(2.0 * self.cost), _TINY)
-        if self.cost == 0.0 or np.max(cosines) <= gtol:
+        if self.cost == 0.0 or np.max(cosines) <= tol:
             self.success = True
             return False
         if self.nfev >= max_nfev or not np.all(np.isfinite(J)):
@@ -78,15 +78,15 @@ class _Start:
         self.h = (self.Vt.T @ z) / self.scale
         self.predicted = -float(z @ self.sf) - 0.5 * float((self.s * z) @ (self.s * z))
 
-    def judge(self, f_new, xtol, ftol, max_nfev):
+    def judge(self, f_new, tol, max_nfev):
         """Take the trial step if it lowers the cost ("stepped"); else raise
         the damping and set the next trial step ("retry") or stop ("done")."""
         self.nfev += 1
         cost_new = 0.5 * float(f_new @ f_new) if np.all(np.isfinite(f_new)) else math.inf
         actual = self.cost - cost_new
         rho = actual / self.predicted if self.predicted > 0 else 0.0
-        self.success = (np.linalg.norm(self.h) <= xtol * (xtol + np.linalg.norm(self.x))
-                        or (actual < ftol * self.cost and rho > 0.25))
+        self.success = (np.linalg.norm(self.h) <= tol * (tol + np.linalg.norm(self.x))
+                        or (actual < tol * self.cost and rho > 0.25))
         if actual > 0:
             self.mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
             self.nu = 2.0
@@ -100,15 +100,16 @@ class _Start:
         return "retry"
 
 
-def least_squares(fun, x0, xtol=1e-8, ftol=1e-8, gtol=1e-8):
+def least_squares(fun, x0, tol=1e-8):
     """Minimise 0.5 * ||fun(x)||^2 from x0; returns a LeastSquaresResult.
 
     A 1-D x0 is one start. An x0 of shape (k, n) is k starts, solved in
     lockstep, and returns a list of k results.
     A start succeeds when the largest cosine between the residual vector and a
-    Jacobian column is <= gtol, when an accepted step lowers the cost by
-    less than ftol * cost (and by more than a quarter of the predicted
-    reduction), or when a trial step is no longer than xtol * (xtol + ||x||).
+    Jacobian column is <= tol, when an accepted step lowers the cost by
+    less than tol * cost (and by more than a quarter of the predicted
+    reduction), or when a trial step is no longer than tol * (tol + ||x||).
+    (scipy's xtol, ftol and gtol, all set to tol.)
     It fails after 100 * n evaluations or on a non-finite Jacobian.
     Raises ValueError if the residuals at any start are not finite; a trial
     step with non-finite residuals is rejected.
@@ -126,11 +127,11 @@ def least_squares(fun, x0, xtol=1e-8, ftol=1e-8, gtol=1e-8):
                               np.array([s.f for s in stepped]))
             for start, J in zip(stepped, jacs):
                 start.jac = J
-        searching += [s for s in stepped if not s.success and s.factor(gtol, max_nfev)]
+        searching += [s for s in stepped if not s.success and s.factor(tol, max_nfev)]
         if not searching:
             break
         f_new = np.asarray(fun(np.array([s.x + s.h for s in searching])), dtype=float)
-        verdicts = [s.judge(fs, xtol, ftol, max_nfev) for s, fs in zip(searching, f_new)]
+        verdicts = [s.judge(fs, tol, max_nfev) for s, fs in zip(searching, f_new)]
         stepped = [s for s, v in zip(searching, verdicts) if v == "stepped"]
         searching = [s for s, v in zip(searching, verdicts) if v == "retry"]
     results = [LeastSquaresResult(s.x, s.f, s.jac, s.cost, s.nfev, s.success) for s in starts]

@@ -66,7 +66,6 @@ class ResonancePair:
 class OdmrSpectrum:
     frequencies: np.ndarray  # Hz
     contrast: np.ndarray     # dimensionless, ~1 off resonance
-    noise_sigma: float = 0.0
 
     def __post_init__(self):
         f = np.asarray(self.frequencies, dtype=float)
@@ -212,7 +211,7 @@ def fit_orientation(trajectory, D, Pi, gamma_e=GAMMA_E_DEFAULT) -> OrientationFi
     order = np.argsort(np.einsum("ij,ij->i", r, r), kind="stable")[:FIT_REFINE_STARTS]
     # the lowest-cost starts, refined together; one with non-finite residuals is left out
     starts = grid[order[np.all(np.isfinite(r[order]), axis=1)]]
-    sols = least_squares(residual, starts, xtol=1e-14, ftol=1e-14, gtol=1e-14)
+    sols = least_squares(residual, starts, tol=1e-14)
     best = min(sols, key=lambda sol: sol.cost, default=None)
     if best is None or not np.all(np.isfinite(best.x)):
         raise FitDiverged("orientation fit failed to converge")
@@ -261,7 +260,7 @@ def odmr_spectrum(p: NVParams, B_nv, linewidth, contrast_depth, grid,
     )
     if noise_sigma > 0.0:
         c = c + rng.normal(0.0, noise_sigma, size=grid.shape)
-    return OdmrSpectrum(grid, c, noise_sigma)
+    return OdmrSpectrum(grid, c)
 
 
 def _two_deepest_minima(f, c):

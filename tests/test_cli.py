@@ -19,6 +19,7 @@ from fieldarm.nvspin import GAMMA_E_DEFAULT, characteristic_roots, field_polar_a
 
 from conftest import CONFIG_DIR, SAMPLE, STANDOFF
 
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 DEFAULT = os.path.join(CONFIG_DIR, "default.yaml")
 WALLED = os.path.join(CONFIG_DIR, "walled.yaml")
 WALL_OFF = os.path.join(CONFIG_DIR, "wall.off")
@@ -84,17 +85,6 @@ def test_rerun_from_embedded_header_config(tmp_path):
     out2 = tmp_path / "second.csv"
     assert main(args + ["--config", str(cfg_path), "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
-
-
-def test_scan_si_units(tmp_path):
-    out = tmp_path / "scan.csv"
-    rc = main(["--units", "si", "scan", "--ay-start", "0", "--ay-stop", "0",
-               "--ay-steps", "1", "--az-start", "0", "--az-stop", "0",
-               "--az-steps", "1", "--out", str(out)])
-    assert rc == 0
-    _, rows = read_artifact_csv(out)
-    assert "Bx_T" in rows[0]
-    assert float(rows[0]["Bx_T"]) < 0.1  # tesla, not millitesla
 
 
 def _write_calibration_csv(path):
@@ -549,3 +539,117 @@ def test_commands_import_only_the_layers_they_run(tmp_path, argv, absent):
     loaded = set(json.loads(_run_fresh(script, json.dumps(argv))))
     assert "fieldarm.cli" in loaded
     assert not loaded.intersection(absent)
+
+
+GRID_ANGLES = {"--ay-start": "angle", "--ay-stop": "angle", "--az-start": "angle",
+               "--az-stop": "angle"}
+UNIT_FLAGS = {  # the flags whose unit --units switches
+    "scan": GRID_ANGLES, "partition": GRID_ANGLES,
+    "schedule": {"--b-start": "field", "--b-stop": "field", "--ay": "angle", "--az": "angle"},
+    "replace": {"--ay": "angle", "--az": "angle"},
+    "odmr": {"--bx": "field", "--by": "field", "--bz": "field"},
+    "calibrate": {}, "fit-nv": {},
+}
+UNIT_HELP = {"angle": "deg, or rad with --units si", "field": "mT, or T with --units si"}
+
+
+@pytest.mark.parametrize("command", sorted(UNIT_FLAGS))
+def test_unit_flags_name_their_unit_in_help(command):
+    declared = {flag.option: flag.unit for flag in cli.COMMANDS[command].flags if flag.unit}
+    assert declared == UNIT_FLAGS[command]
+    for action in SUBCOMMANDS[command]._actions:
+        unit = UNIT_FLAGS[command].get(action.option_strings[0])
+        assert (unit is not None) == (action.help or "").endswith(tuple(UNIT_HELP.values()))
+        if unit:
+            assert action.help.endswith(UNIT_HELP[unit]), action.help
+
+
+SI_NAMES = {"deg": ("rad", 180.0 / math.pi), "mT": ("T", 1e3)}  # SI label, factor out of SI
+TO_SI = {"angle": math.radians, "field": lambda v: v * 1e-3}
+SI_CASES = {
+    "scan": _scan_args(),
+    "schedule": SCHEDULE + ["--ay", "20", "--az", "30"],
+    "partition": ["--config", WALLED, "partition", "--ay-start", "30", "--ay-stop", "85",
+                  "--ay-steps", "3", "--az-start", "5", "--az-stop", "85", "--az-steps", "3"],
+    "replace": ["--config", WALLED, "replace", "--ay", "30", "--az", "53"],
+    "odmr": ["odmr", "--bx", "0.5", "--by", "-1", "--bz", "3", "--points", "101"],
+    "calibrate": ["calibrate", "--input", CALIBRATION],
+    "fit-nv": ["fit-nv", "--input", TRAJECTORY],
+}
+
+
+def _si_name(name):
+    """The SI run's name for the default run's name, and the factor that takes
+    its SI value to the default run's (None for a name --units leaves alone)."""
+    stem, _, label = name.rpartition("_")
+    if label not in SI_NAMES:
+        return name, None
+    return f"{stem}_{SI_NAMES[label][0]}", SI_NAMES[label][1]
+
+
+def _assert_json_in_si(default, si):
+    assert len(si) == len(default)
+    for key, value in default.items():
+        assert "{" not in key, key  # every tag filled in
+        si_key, factor = _si_name(key)
+        if isinstance(value, dict):
+            _assert_json_in_si(value, si[si_key])
+        elif factor is None:
+            assert si[si_key] == value, key
+        elif isinstance(value, list):
+            assert [v * factor for v in si[si_key]] == value, key
+        else:
+            assert si[si_key] * factor == value, key
+
+
+def _assert_csv_in_si(command, default, si):
+    header, si_header = ([ln for ln in text.splitlines() if ln.startswith("#")]
+                         for text in (default, si))
+    assert si_header[:3] == header[:3] and si_header[4:] == ["# units si"]
+    given, si_given = (json.loads(h[3][len("# args "):]) for h in (header, si_header))
+    assert si_given.keys() == given.keys()
+    for name, value in given.items():
+        unit = UNIT_FLAGS[command].get("--" + name.replace("_", "-"))
+        assert si_given[name] == (TO_SI[unit](value) if unit else value), name
+    rows, si_rows = (list(csv.reader(ln for ln in text.splitlines() if not ln.startswith("#")))
+                     for text in (default, si))
+    assert "{" not in "".join(rows[0])  # every tag filled in
+    names = [_si_name(name) for name in rows[0]]
+    assert si_rows[0] == [si_name for si_name, _ in names]
+    assert len(si_rows) == len(rows)
+    for row, si_row in zip(rows[1:], si_rows[1:]):
+        for cell, si_cell, (_, factor) in zip(row, si_row, names):
+            if factor is None:
+                assert si_cell == cell
+            else:  # each written to 10 significant digits
+                assert math.isclose(float(si_cell) * factor, float(cell), rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("command", sorted(SI_CASES))
+def test_units_si_writes_the_same_values(tmp_path, command):
+    """A run in SI units, given the default run's values in radians and
+    tesla, writes the same artefact in SI names and values."""
+    _write_input_csv("calibrate", tmp_path / "cal.csv")
+    _write_input_csv("fit-nv", tmp_path / "traj.csv")
+    paths = {CALIBRATION: str(tmp_path / "cal.csv"), TRAJECTORY: str(tmp_path / "traj.csv")}
+    argv = [paths.get(a, a) for a in SI_CASES[command]]
+    units = UNIT_FLAGS[command]
+    # --units comes last: main converts the flags after parsing all of them
+    si_argv = [repr(TO_SI[units[flag]](float(a))) if flag in units else a
+               for flag, a in zip([None] + argv, argv)] + ["--units", "si"]
+    out, si_out = tmp_path / "default", tmp_path / "si"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert main(si_argv + ["--out", str(si_out)]) == 0
+    if command in ("calibrate", "replace", "fit-nv"):
+        _assert_json_in_si(json.loads(out.read_text()), json.loads(si_out.read_text()))
+    else:
+        _assert_csv_in_si(command, out.read_text(), si_out.read_text())
+
+
+def test_readme_lists_the_declared_artefact_columns():
+    with open(README) as fh:
+        section = fh.read().split("\n## Artefacts\n", 1)[1].split("\n## ", 1)[0]
+    csv_commands = {name: c.columns for name, c in cli.COMMANDS.items() if c.columns}
+    assert sorted(csv_commands) == ["odmr", "partition", "scan", "schedule"]
+    for name, columns in csv_commands.items():
+        assert f"- `{name}`: `{','.join(columns)}`" in section, name

@@ -50,11 +50,11 @@ def _rosenbrock(x):
 def _with_oracle(module, calls):
     """Patch module.least_squares so every solve also runs scipy's from each
     row of x0; calls gets one (ours, scipy's) pair per start."""
-    def both(fun, x0, **kwargs):
-        ours = least_squares(fun, x0, **kwargs)
+    def both(fun, x0, tol=1e-8):  # lsq's default tolerance, and scipy's
+        ours = least_squares(fun, x0, tol=tol)
         for sol, start in zip(ours if np.ndim(x0) == 2 else [ours], np.atleast_2d(x0)):
             try:
-                theirs = scipy_least_squares(fun, start, **kwargs)
+                theirs = scipy_least_squares(fun, start, xtol=tol, ftol=tol, gtol=tol)
             except ValueError:
                 theirs = None
             calls.append((sol, theirs))
@@ -63,7 +63,7 @@ def _with_oracle(module, calls):
 
 
 def test_rosenbrock_minimum():
-    sol = least_squares(_rosenbrock, [-1.2, 1.0], xtol=1e-14, ftol=1e-14, gtol=1e-14)
+    sol = least_squares(_rosenbrock, [-1.2, 1.0], tol=1e-14)
     assert sol.success
     assert np.allclose(sol.x, [1.0, 1.0], atol=1e-10, rtol=0)
     assert sol.cost < 1e-20
@@ -107,7 +107,7 @@ def test_non_finite_trial_step_is_rejected():
         with np.errstate(invalid="ignore"):
             return np.sqrt(x) - 0.1
 
-    sol = least_squares(residual, [1.0], xtol=1e-14, ftol=1e-14, gtol=1e-14)
+    sol = least_squares(residual, [1.0], tol=1e-14)
     assert min(trials) < 0
     assert sol.success
     assert math.isclose(sol.x[0], 0.01, rel_tol=1e-12)
@@ -301,18 +301,17 @@ def _stack_against_oracle(problem, k, seed, tol, nan_row):
     starts = x0 + scale * np.random.default_rng(seed).standard_normal((k, x0.size))
     if nan_row < k:
         starts[nan_row] = np.nan
-    kwargs = dict(xtol=tol, ftol=tol, gtol=tol)
     expected = []
     for start in starts:
         try:
-            expected.append(lsq_oracle.least_squares(seen, start, **kwargs))
+            expected.append(lsq_oracle.least_squares(seen, start, xtol=tol, ftol=tol, gtol=tol))
         except ValueError:
             expected.append(None)
     kept = [e is not None for e in expected]
     if not all(kept):
         with pytest.raises(ValueError):
-            least_squares(fun, starts, **kwargs)
-    got = least_squares(fun, starts[kept], **kwargs) if any(kept) else []
+            least_squares(fun, starts, tol=tol)
+    got = least_squares(fun, starts[kept], tol=tol) if any(kept) else []
     assert len(got) == sum(kept)
     for ours, theirs in zip(got, [e for e in expected if e is not None]):
         for field in ("x", "fun", "jac", "cost"):
