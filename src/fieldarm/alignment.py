@@ -10,14 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    FinalPoseForbidden,
-    InsufficientData,
-    FitDiverged,
-    NoReachableDisplacement,
-    TargetUnreachable,
-    ZeroField,
-)
+from .errors import (FinalPoseForbidden, FitDiverged, InsufficientData, NoReachableDisplacement,
+                     TargetUnreachable, ZeroField)
 from .kinematics import Pose, angles_for_direction, has_spherical_wrist, quantize_position, unit_normal
 from .lsq import least_squares
 from .magnetostatics import MagnetSpec, cylinder_field, inverse_dipole
@@ -173,6 +167,14 @@ def bisect_decreasing(magnitude, targets, lo, hi, tol):
     return lo, hi
 
 
+def _ray_magnitude(spec: MagnetSpec, sample, ray, axis):
+    """r (any shape) -> |B| at the sample of the magnet with `axis` at sample - r * ray."""
+    def magnitude(r):
+        B = cylinder_field(spec, sample - np.asarray(r, dtype=float)[..., None] * ray, axis, sample)
+        return np.sqrt(row_dot(B, B))
+    return magnitude
+
+
 def amplitude_schedule(targets, spec: MagnetSpec, direction, sample,
                        resolution=0.0005) -> AmplitudeSchedule:
     """Pick magnet distances realising each target amplitude on a fixed ray.
@@ -190,12 +192,7 @@ def amplitude_schedule(targets, spec: MagnetSpec, direction, sample,
     sample = np.asarray(sample, dtype=float)
     r_min = spec.length / 2.0 + spec.outer_radius  # just clear of the magnet body
     n = unit_normal(*angles_for_direction(direction))
-
-    def magnitude(r):
-        r = np.asarray(r, dtype=float)
-        B = cylinder_field(spec, sample - r[..., None] * n, n, sample)
-        return np.sqrt(row_dot(B, B))
-
+    magnitude = _ray_magnitude(spec, sample, n, n)
     B_hi, B_lo = magnitude([r_min, SCHEDULE_MAX_DISTANCE_M])
     unreachable = ~((targets >= B_lo) & (targets <= B_hi))
     if np.any(unreachable):
@@ -230,7 +227,7 @@ REPLACE_CHUNK = 16  # displacement candidates per feasibility_batch call
 
 
 def replace_forbidden_pose(forbidden: Pose, sample, spec: MagnetSpec, env, dh,
-                           displacement_axis="z", search_step=0.005, max_steps=40,
+                           displacement_axis, search_step=0.005, max_steps=40,
                            rng=None) -> ReplacementPlan:
     """Four-stage replacement of a collision-forbidden magnet pose.
 
@@ -248,26 +245,24 @@ def replace_forbidden_pose(forbidden: Pose, sample, spec: MagnetSpec, env, dh,
     DLS search depends on the IK seed that each check passes on.
     """
     # deferred: of the alignment steps, only replace loads the collision layer
-    from .environment import FeasibilityStatus, build_trees, feasibility_batch, pose_feasibility
+    from .environment import FeasibilityStatus, build_trees, feasibility_batch
 
     if displacement_axis not in ("y", "z"):
         raise ValueError("displacement_axis must be 'y' or 'z'")
     sample = np.asarray(sample, dtype=float)
     trees = build_trees(env)
-    state = {"seed": dh.home()}
+    seed = dh.home()
 
-    def reachable(result):
-        if result.joints is not None:
-            state["seed"] = result.joints
-        return result.status is FeasibilityStatus.REACHABLE
-
-    def feasible(pose):
-        return reachable(pose_feasibility(pose, dh, env, state["seed"], trees, rng))
+    def reachable(poses):  # from the running IK seed, then the last joints found
+        nonlocal seed
+        results = feasibility_batch(poses, dh, env, seed, trees, [rng] * len(poses))
+        seed = next((r.joints for r in reversed(results) if r.joints is not None), seed)
+        return [r.status is FeasibilityStatus.REACHABLE for r in results]
 
     target = cylinder_field(spec, forbidden.position, forbidden.axis, sample)
     target_mag = float(np.linalg.norm(target))
 
-    if feasible(forbidden):
+    if reachable([forbidden])[0]:
         return ReplacementPlan(
             original_pose=forbidden, displaced_pose=forbidden, rotated_pose=forbidden,
             final_pose=forbidden, target_field=target, achieved_field=target,
@@ -287,11 +282,7 @@ def replace_forbidden_pose(forbidden: Pose, sample, spec: MagnetSpec, env, dh,
         r0 = float(np.linalg.norm(r_vec))
         r_hat = r_vec / r0
         n = rotated.axis
-
-        def magnitude(dist):
-            B = cylinder_field(spec, sample - np.asarray(dist)[..., None] * r_hat, n, sample)
-            return np.sqrt(row_dot(B, B))
-
+        magnitude = _ray_magnitude(spec, sample, r_hat, n)
         B_rot = cylinder_field(spec, rotated.position, n, sample)
         r_guess = r0 * (np.linalg.norm(B_rot) / target_mag) ** (1.0 / 3.0)
         lo = max(r_guess / 2.0, r_clear)
@@ -302,7 +293,7 @@ def replace_forbidden_pose(forbidden: Pose, sample, spec: MagnetSpec, env, dh,
             lo = max(lo / 1.5, r_clear)
         (lo,), (hi,) = bisect_decreasing(magnitude, target_mag, [lo], [hi], MAGNITUDE_TOL_M)
         final = rotated.with_position(sample - ((lo + hi) / 2.0) * r_hat)
-        if not feasible(final):
+        if not reachable([final])[0]:
             return None
         achieved = cylinder_field(spec, final.position, n, sample)
         return ReplacementPlan(
@@ -317,10 +308,8 @@ def replace_forbidden_pose(forbidden: Pose, sample, spec: MagnetSpec, env, dh,
     while batch := list(itertools.islice(steps, chunk)):
         candidates = [forbidden.with_position(forbidden.position + sign * n * search_step * axis)
                       for n, sign in batch]
-        results = feasibility_batch(candidates, dh, env, state["seed"], trees,
-                                    [rng] * len(candidates))
-        for candidate, result in zip(candidates, results):
-            if not reachable(result):
+        for candidate, ok in zip(candidates, reachable(candidates)):
+            if not ok:
                 continue
             found_displacement = True
             plan = plan_for(candidate)

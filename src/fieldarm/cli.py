@@ -24,6 +24,7 @@ partition, replace and a config with meshes; nvspin for odmr and fit-nv.
 """
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -41,7 +42,7 @@ from .alignment import (MAX_DISTANCE_M, SCHEDULE_MAX_DISTANCE_M, amplitude_sched
                         angular_error, calibrate_offsets, replace_forbidden_pose,
                         sphere_segment_scan)
 from .config import (FINITE, INDEX, NON_NEGATIVE, POSITIVE, REQUIRED, Domain, RunConfig,
-                     config_from_dict, count, load_config, up_to)
+                     config_from_dict, count, from_zero, load_config, up_to)
 from .errors import ConfigError, FieldArmError, InsufficientData, ParseError, UsageError
 from .kinematics import Pose, magnet_pose_for_field_direction, unit_normal
 from .magnetostatics import GAMMA_E_DEFAULT
@@ -110,7 +111,7 @@ GRID = (
 # the upper bounds lie far above any spin defect's and keep the values finite in Hz
 NV = (
     Flag("d_GHz", default=2.8704, domain=up_to(1000)),
-    Flag("pi_MHz", default=1.8515, domain=NON_NEGATIVE),
+    Flag("pi_MHz", default=1.8515, domain=from_zero(1e6)),
     Flag("gamma_GHz_per_T", default=GAMMA_E_DEFAULT * 1e-9, domain=up_to(1000)),
 )
 CALIBRATION_CSV = Flag("input", str, REQUIRED, help="measurement CSV", columns={
@@ -136,16 +137,18 @@ def _in_unit(name, units):
 
 
 def _atomic_write(path, text):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fieldarm-", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".fieldarm-", suffix=".tmp")
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:  # an --out that cannot be written
+        raise UsageError(f"cannot write {path}: {exc}") from None
+    finally:
+        if tmp and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _emit(args, text):
@@ -317,12 +320,14 @@ def cmd_fit_nv(args, config: RunConfig):
                   for r, nu in zip(args.rows, nu_n)]
     fit = fit_orientation(trajectory, D=args.d_GHz * 1e9, Pi=args.pi_MHz * 1e6,
                           gamma_e=args.gamma_GHz_per_T * 1e9)
+    a = UNITS[args.units]["angle"]
     _emit_json(args, config, {
         "alpha_y_nv_{angle}": fit.alpha_y_nv, "alpha_z_nv_{angle}": fit.alpha_z_nv,
         "alpha_y_err_{angle}": fit.alpha_y_err, "alpha_z_err_{angle}": fit.alpha_z_err,
         "B_fit_{field}": fit.B_fit, "B_err_{field}": fit.B_err,
         "residual_rms_Hz": float(fit.residual_rms),
-        "notes": "NV axis and its negation are equivalent; angles reported in [0, 180) deg",
+        "notes": "NV axis and its negation are equivalent; angles reported in "
+                 f"[0, {_fmt(math.pi * a.out)}) {a.label}",
     })
 
 
@@ -381,6 +386,9 @@ def _check_args(args, config: RunConfig):
     checked CSV rows are left in args.rows.
     """
     command = COMMANDS[args.command]
+    if args.out and (os.path.isdir(args.out)
+                     or not os.path.isdir(os.path.dirname(os.path.abspath(args.out)))):
+        raise UsageError(f"--out {args.out} is a directory, or in a directory that does not exist")
     for flag in COMMON + command.flags:
         value = getattr(args, flag.name)
         if flag.domain and value is not None and not flag.domain.ok(value):
@@ -444,10 +452,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FieldArmError as exc:
-        payload = {"error": type(exc).__name__, "message": str(exc)}
-        if args.out:
-            _atomic_write(args.out, _json_text(payload))
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        payload = {"error": type(exc).__name__, "message": str(exc)}
+        with contextlib.suppress(UsageError):  # the line above reports the failure
+            if args.out:
+                _atomic_write(args.out, _json_text(payload))
         return 1
 
 

@@ -1,5 +1,8 @@
 """Triangle-mesh environment, robot-body collision checks, pose partitioning.
 
+load_mesh reads an OFF or ASCII STL file as (line number, tokens) rows, one
+per non-blank line; one converter, _convert, turns the tokens of the rows
+the format's layout picks into numbers and names the line of a bad one.
 The robot body is approximated by one capsule per link (spanning consecutive
 joint-frame origins) plus one for the magnet tool. Each mesh is stored flat:
 its triangles and their axis-aligned bounding boxes (AABBs). A query tests
@@ -12,19 +15,13 @@ once: every IK branch of every pose, every capsule of every branch.
 
 import enum
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import DegenerateGeometry, ParseError
-from .kinematics import (
-    DHTable,
-    Pose,
-    frame_chain,
-    has_spherical_wrist,
-    ik_branch_array,
-    ik_solutions,
-    nearest_first,
-)
+from .kinematics import (DHTable, Pose, frame_chain, has_spherical_wrist, ik_branch_array,
+                         ik_solutions, nearest_first)
 
 _MIN_TRIANGLE_AREA = 1e-12  # m^2
 _EPS = 1e-18                # squared lengths and products below this count as zero
@@ -69,90 +66,77 @@ class TriangleMesh:
         return TriangleMesh(v, self.triangles, self.name)
 
 
-def _parse_off(lines, name):
-    idx = 0
-    if not lines or lines[0].strip() != "OFF":
-        raise ParseError("expected 'OFF' header", line=1)
-    idx = 1
-    # skip blank/comment lines
-    while idx < len(lines) and (not lines[idx].split() or lines[idx].lstrip().startswith("#")):
-        idx += 1
-    if idx >= len(lines):
-        raise ParseError("missing OFF count line", line=len(lines))
-    counts = lines[idx].split()
+def _convert(rows, kind, counts, what, first=0):
+    """Tokens first .. first + n - 1 of each (line, tokens) row, for n in counts, as
+    kind in one flat list; a ParseError names a row short of tokens, else one kind refuses."""
+    strings = []
+    for (line, tokens), n in zip(rows, counts):
+        if len(tokens) < first + n:
+            raise ParseError(f"malformed {what}", line=line)
+        strings += tokens[first:first + n]
     try:
-        nv, nf = int(counts[0]), int(counts[1])
-    except (ValueError, IndexError):
-        raise ParseError("malformed OFF count line", line=idx + 1) from None
-    idx += 1
-    vertices = []
-    for k in range(nv):
-        if idx + k >= len(lines):
-            raise ParseError("unexpected end of file in vertex block", line=len(lines))
-        parts = lines[idx + k].split()
-        try:
-            vertices.append([float(parts[0]), float(parts[1]), float(parts[2])])
-        except (ValueError, IndexError):
-            raise ParseError("malformed vertex", line=idx + k + 1) from None
-    idx += nv
-    triangles = []
-    for k in range(nf):
-        if idx + k >= len(lines):
-            raise ParseError("unexpected end of file in face block", line=len(lines))
-        parts = lines[idx + k].split()
-        try:
-            n = int(parts[0])
-            poly = [int(p) for p in parts[1 : 1 + n]]
-        except (ValueError, IndexError):
-            raise ParseError("malformed face", line=idx + k + 1) from None
-        if n < 3:
-            raise ParseError(f"face with {n} vertices", line=idx + k + 1)
-        for j in range(1, n - 1):  # fan-triangulate polygons
-            triangles.append([poly[0], poly[j], poly[j + 1]])
-    return TriangleMesh(np.array(vertices), np.array(triangles), name)
+        return list(map(kind, strings))
+    except ValueError:
+        if len(rows) > 1:  # row by row, to find the bad one
+            for row, n in zip(rows, counts):
+                _convert([row], kind, [n], what, first)
+        raise ParseError(f"malformed {what}", line=rows[0][0]) from None
 
 
-def _parse_stl_ascii(lines, name):
-    vertices = []
-    triangles = []
-    current = []
-    for i, raw in enumerate(lines):
-        parts = raw.split()
-        if not parts:
-            continue
-        if parts[0] == "vertex":
-            try:
-                current.append([float(parts[1]), float(parts[2]), float(parts[3])])
-            except (ValueError, IndexError):
-                raise ParseError("malformed vertex", line=i + 1) from None
-        elif parts[0] == "endfacet":
-            if len(current) != 3:
-                raise ParseError(f"facet with {len(current)} vertices", line=i + 1)
-            base = len(vertices)
-            vertices.extend(current)
-            triangles.append([base, base + 1, base + 2])
-            current = []
-    if not triangles:
-        raise ParseError("no facets found", line=len(lines) or 1)
-    return TriangleMesh(np.array(vertices), np.array(triangles), name)
+def _off_layout(rows, end):
+    """Flat vertices and fan triangles of OFF rows: the header, the counts
+    (nv nf ...), nv vertex rows (x y z ...), nf face rows (n i_1 .. i_n ...)."""
+    rows = [row for row in rows if row[1][0][0] != "#"]  # drops comment rows
+    nv, nf = _convert(rows[1:2] or [(end, ())], int, [2], "OFF count line")
+    if min(nv, nf) < 0 or len(rows) < 2 + nv + nf:
+        raise ParseError(f"OFF counts {nv} {nf}: need both >= 0 and {nv} + {nf} rows below, "
+                         f"found {len(rows) - 2}", line=rows[1][0])
+    faces = rows[2 + nv:2 + nv + nf]
+    sizes = _convert(faces, int, [1] * nf, "face")
+    if min(sizes, default=3) < 3:  # names the first face with the fewest
+        raise ParseError(f"face with {min(sizes)} vertices", line=faces[sizes.index(min(sizes))][0])
+    corners = _convert(faces, int, sizes, "face", first=1)
+    starts = np.cumsum([0] + sizes)  # of each face's corners
+    if corners and not 0 <= min(corners) <= max(corners) < nv:
+        k = next(k for k, i in enumerate(corners) if not 0 <= i < nv)
+        raise ParseError(f"face index {corners[k]} is not below {nv}",
+                         line=faces[np.searchsorted(starts, k, "right") - 1][0])
+    # fan triangle t, of face f, is corners[starts[f]], corners[2 f + t + 1], corners[2 f + t + 2]
+    face = np.repeat(np.arange(nf), np.array(sizes, dtype=int) - 2)
+    j = 2 * face + np.arange(len(face)) + 1
+    return (_convert(rows[2:2 + nv], float, [3] * nv, "vertex"),
+            np.array(corners, dtype=int)[np.stack([starts[face], j, j + 1], axis=-1)])
+
+
+def _stl_layout(rows, end):
+    """Flat vertices and triangles of ASCII STL rows: 3 `vertex x y z` per `endfacet`."""
+    vertices, facet = [], []
+    for row in rows:
+        if row[1][0] == "vertex":
+            facet.append(row)
+        elif row[1][0] == "endfacet":
+            if len(facet) != 3:
+                raise ParseError(f"facet with {len(facet)} vertices", line=row[0])
+            vertices += _convert(facet, float, [3, 3, 3], "vertex", first=1)
+            facet = []
+    if not vertices:
+        raise ParseError("no facets found", line=end)
+    return vertices, range(len(vertices) // 3)
 
 
 def load_mesh(path) -> TriangleMesh:
-    """Load an ASCII STL or OFF mesh file; validates geometry."""
+    """Load an OFF or ASCII STL mesh file, as its line 1 names; validates geometry."""
     path = str(path)
     try:
         with open(path, "r") as fh:
             lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read mesh file {path}: {exc}") from None
-    if not lines:
-        raise ParseError("empty file", line=1)
-    head = lines[0].strip()
-    if head == "OFF":
-        return _parse_off(lines, name=path)
-    if head.startswith("solid"):
-        return _parse_stl_ascii(lines, name=path)
-    raise ParseError("unrecognised format (expected OFF or ASCII STL)", line=1)
+    head = lines[0].strip() if lines else ""
+    if head != "OFF" and not head.startswith("solid"):
+        raise ParseError("unrecognised format (expected OFF or ASCII STL)", line=1)
+    rows = filter(itemgetter(1), enumerate(map(str.split, lines), start=1))
+    return TriangleMesh(*(_off_layout if head == "OFF" else _stl_layout)(rows, len(lines)), path)
 
 
 # ---------------------------------------------------------------------------

@@ -288,6 +288,7 @@ CALIBRATION = "<calibration csv>"  # the test writes a valid measurement CSV in 
     ["odmr", "--linewidth-MHz=1e300"],
     ["odmr", "--d-GHz=1e300"],
     ["odmr", "--gamma-GHz-per-T=1e300"],
+    ["odmr", "--pi-MHz=1e300"],
 ], ids=["scan-steps-0", "schedule-steps-0", "odmr-points-0", "schedule-resolution-0",
         "odmr-linewidth-0", "scan-standoff-nan", "schedule-ay-nan", "schedule-b-stop-inf",
         "odmr-bz-nan", "scan-standoff-in-magnet", "replace-standoff-in-magnet",
@@ -297,7 +298,7 @@ CALIBRATION = "<calibration csv>"  # the test writes a valid measurement CSV in 
         "partition-ay-steps-1e30", "partition-az-steps-1e30", "schedule-steps-1e30",
         "odmr-points-1e30", "scan-standoff-1e300", "calibrate-standoff-1e300",
         "schedule-resolution-1e300", "odmr-linewidth-1e300", "odmr-d-1e300",
-        "odmr-gamma-1e300"])
+        "odmr-gamma-1e300", "odmr-pi-1e300"])
 def test_out_of_range_argument_exit_2(tmp_path, capsys, argv):
     if CALIBRATION in argv:
         _write_calibration_csv(tmp_path / "cal.csv")
@@ -307,6 +308,16 @@ def test_out_of_range_argument_exit_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_is_exit_2(tmp_path, capsys, where):
+    out = tmp_path / "missing" / "x.csv" if where == "missing-directory" else tmp_path
+    assert main(["schedule", "--b-start", "1", "--b-stop", "2", "--steps", "2",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --out ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def _write_input_csv(command, path):
@@ -396,7 +407,7 @@ def test_unreadable_or_non_finite_config_exit_2(tmp_path, capsys, write_config, 
 
 @pytest.mark.parametrize("argv", [
     ["odmr", "--points", "11", "--f-stop-MHz=1e303"],
-    ["odmr", "--points", "11", "--pi-MHz=1e305"],
+    ["odmr", "--points", "11", "--bz=1e305"],  # --pi-MHz stops at 1e6, inside the Hamiltonian's range
 ], ids=["odmr-grid-overflows", "odmr-hamiltonian-overflows"])
 def test_non_finite_result_exit_1(tmp_path, capsys, argv):
     out = tmp_path / "artefact"
@@ -641,7 +652,11 @@ def test_units_si_writes_the_same_values(tmp_path, command):
     assert main(argv + ["--out", str(out)]) == 0
     assert main(si_argv + ["--out", str(si_out)]) == 0
     if command in ("calibrate", "replace", "fit-nv"):
-        _assert_json_in_si(json.loads(out.read_text()), json.loads(si_out.read_text()))
+        default, si = json.loads(out.read_text()), json.loads(si_out.read_text())
+        if command == "fit-nv":  # the note names the angle unit in use
+            assert default.pop("notes").endswith(" angles reported in [0, 180) deg")
+            assert si.pop("notes").endswith(" angles reported in [0, 3.141592654) rad")
+        _assert_json_in_si(default, si)
     else:
         _assert_csv_in_si(command, out.read_text(), si_out.read_text())
 

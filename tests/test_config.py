@@ -314,10 +314,18 @@ def _mesh_config(tmp_path, mesh_text):
     return data
 
 
+TRIANGLE_ROWS = "0 0 0\n1 0 0\n0 1 0\n"
+
+
 @pytest.mark.parametrize("mesh_text, command, message", [
     ("OFF\n3 1 0\n0 0 0\n1 0 0\nnan 1 0\n3 0 1 2\n", PARTITION, "vertex 2 is not finite"),
     ("OFF\n3 1 0\n0 0 0\n1 0 0\n2 0 0\n3 0 1 2\n", SCAN, "triangle 0 has area"),
-], ids=["nan-vertex-partition", "zero-area-scan"])
+    ("OFF\n3 1 0\n" + TRIANGLE_ROWS + "4 0 1 2\n", PARTITION, "line 6: malformed face"),
+    ("OFF\n3 1 0\n" + TRIANGLE_ROWS + "3 0 1 99999999999999999999999\n", PARTITION,
+     "line 6: face index 99999999999999999999999"),
+    ("OFF\n3 -2\n" + TRIANGLE_ROWS, SCAN, "line 2: OFF counts 3 -2"),
+], ids=["nan-vertex-partition", "zero-area-scan", "short-face-partition",
+        "huge-index-partition", "negative-count-scan"])
 def test_bad_mesh_is_a_config_error(tmp_path, capsys, mesh_text, command, message):
     rc, err, artefact = _run(tmp_path, capsys, _mesh_config(tmp_path, mesh_text), command)
     assert rc == 2 and artefact is None

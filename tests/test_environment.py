@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fieldarm.environment
@@ -108,6 +108,58 @@ def test_non_finite_vertex_rejected(tmp_path, name, text):
     index = 1 if name.endswith(".off") else 2
     with pytest.raises(ParseError, match=rf"{name}': vertex {index} is not finite"):
         load_mesh(str(path))
+
+
+_FILLER = st.lists(st.sampled_from(["", "   ", "# a comment", "  #1 2 3"]), max_size=2)
+
+
+@st.composite
+def _polygon_mesh_files(draw):
+    """An OFF and an ASCII STL text of one random mesh of polygons (3 to 6
+    corners), with colour values after the face indices, extra tokens after
+    the vertex coordinates and blank and `#` lines between the rows; and the
+    vertices and fan triangles the OFF text holds."""
+    nv = draw(st.integers(3, 10))
+    # near the moment curve (k, k^2, k^3): no three vertices on a line
+    nudge = st.floats(-0.25, 0.25, allow_nan=False)
+    vertices = [[k + draw(nudge), k * k + draw(nudge), k ** 3 + draw(nudge)] for k in range(nv)]
+    faces = draw(st.lists(st.lists(st.integers(0, nv - 1), min_size=3, max_size=min(6, nv),
+                                   unique=True), min_size=1, max_size=6))
+    fan = [[f[0], f[j], f[j + 1]] for f in faces for j in range(1, len(f) - 1)]
+    corners = np.array(vertices)[np.array(fan)]
+    a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
+    assume(np.all(np.linalg.norm(np.cross(b - a, c - a), axis=1) > 1e-6))
+    extra = st.lists(st.sampled_from(["0.5", "255", "-1e3", "x"]), max_size=2)
+    colour = st.lists(st.sampled_from(["255", "0", "0.5", "1e-3"]), max_size=4)
+
+    def lines(rows):
+        return [line for row in rows for line in draw(_FILLER) + [row]]
+
+    off = ["OFF"] + lines([f"{nv} {len(faces)} 0"]
+                          + [" ".join([*map(repr, v), *draw(extra)]) for v in vertices]
+                          + [" ".join([*map(str, [len(f)] + f), *draw(colour)]) for f in faces])
+    stl = ["solid random"] + lines(
+        [row for t in fan for row in ["facet normal 0 0 0", "outer loop"]
+         + [" ".join(["vertex", *map(repr, vertices[i]), *draw(extra)]) for i in t]
+         + ["endloop", "endfacet"]] + ["endsolid random"])
+    return "\n".join(off) + "\n", "\n".join(stl) + "\n", vertices, fan
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polygon_mesh_files())
+def test_mesh_files_load_what_was_written(tmp_path_factory, files):
+    """OFF and ASCII STL, with polygons, colours, extra tokens, blank and
+    comment lines: the arrays loaded are exactly the floats and fan written."""
+    off, stl, vertices, fan = files
+    path = tmp_path_factory.mktemp("mesh")
+    (path / "m.off").write_text(off)
+    (path / "m.stl").write_text(stl)
+    mesh = load_mesh(path / "m.off")
+    assert mesh.vertices.tobytes() == np.array(vertices).tobytes()
+    assert mesh.triangles.tolist() == fan
+    mesh = load_mesh(path / "m.stl")
+    assert mesh.vertices.tobytes() == np.array(vertices)[np.array(fan).ravel()].tobytes()
+    assert mesh.triangles.tolist() == np.arange(3 * len(fan)).reshape(-1, 3).tolist()
 
 
 def test_degenerate_triangle_rejected():
