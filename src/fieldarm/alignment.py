@@ -6,24 +6,22 @@ problem.
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (FinalPoseForbidden, FitDiverged, InsufficientData, NoReachableDisplacement,
                      TargetUnreachable, ZeroField)
 from .kinematics import Pose, angles_for_direction, has_spherical_wrist, quantize_position, unit_normal
-from .lsq import least_squares
-from .magnetostatics import MagnetSpec, cylinder_field, inverse_dipole
+from .magnetostatics import (MAX_DISTANCE_M, SCHEDULE_MAX_DISTANCE_M, MagnetSpec, cylinder_field,
+                             inverse_dipole)
 from .rotations import row_dot
 
 SIMILARITY_SCALE_MT = 3.0  # Gaussian kernel length scale, millitesla
-SCHEDULE_MAX_DISTANCE_M = 0.6  # far end of the ray amplitude_schedule searches
 BISECT_LEVELS = 5  # bisection levels decided per magnitude evaluation
 
 
-@dataclass(frozen=True)
-class ScanPoint:
+class ScanPoint(NamedTuple):
     alpha_y: float
     alpha_z: float
     pose: Pose
@@ -31,15 +29,13 @@ class ScanPoint:
     order_index: int
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
+class CalibrationResult(NamedTuple):
     delta_alpha_y: float          # rad, shared across mass configurations
     delta_alpha_z: np.ndarray     # rad, one per mass configuration
     residual_rms: float           # T
 
 
-@dataclass(frozen=True)
-class AmplitudeSchedule:
+class AmplitudeSchedule(NamedTuple):
     targets: np.ndarray      # T
     distances: np.ndarray    # m, quantised to the robot resolution
     achieved: np.ndarray     # T
@@ -47,8 +43,7 @@ class AmplitudeSchedule:
     error_bounds: np.ndarray  # T, worst case of |error| over the snap window
 
 
-@dataclass(frozen=True)
-class ReplacementPlan:
+class ReplacementPlan(NamedTuple):
     original_pose: Pose
     displaced_pose: Pose
     rotated_pose: Pose
@@ -109,6 +104,7 @@ def calibrate_offsets(measured, spec: MagnetSpec, sample, standoff) -> Calibrati
     Bx, By, Bz) with fields in tesla. The magnet is the same in every mass
     configuration; only its alpha_z offset differs.
     """
+    from .lsq import least_squares  # deferred: of the alignment steps, only calibrate fits
     if standoff <= 0:
         raise ValueError("standoff must be > 0")
     mass = [int(row[2]) for row in measured]
@@ -221,7 +217,6 @@ def similarity(B1, B2) -> float:
 
 
 FAR_FIELD_DIAMETERS = 8.0
-MAX_DISTANCE_M = 10.0  # farthest magnet-sample distance the magnitude search tries
 MAGNITUDE_TOL_M = 1e-9  # bisection tolerance of the magnitude search
 REPLACE_CHUNK = 16  # displacement candidates per feasibility_batch call
 

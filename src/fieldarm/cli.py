@@ -19,14 +19,14 @@ tag in a CSV column (Command.columns) or JSON key, names its quantity. UNITS
 gives each --units mode's label and factors into and out of SI (mT and deg
 by default, T and rad with --units si). Commands see and emit SI values.
 
-A subcommand imports only the layers it runs: environment (collision) for
-partition, replace and a config with meshes; nvspin for odmr and fit-nv.
+A subcommand imports only the layers it runs: alignment for all but odmr and
+fit-nv, which load nvspin (and with it lsq, as calibrate does); environment for
+partition, replace and a config with meshes. OPENBLAS_NUM_THREADS defaults to 1.
 """
 
 import argparse
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -35,17 +35,17 @@ import sys
 import tempfile
 from typing import Callable, NamedTuple
 
+# numpy reads it once, on import; arrays of 3x3 to 144x6 never repay a BLAS thread pool
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import __version__
-from .alignment import (MAX_DISTANCE_M, SCHEDULE_MAX_DISTANCE_M, amplitude_schedule,
-                        angular_error, calibrate_offsets, replace_forbidden_pose,
-                        sphere_segment_scan)
-from .config import (FINITE, INDEX, NON_NEGATIVE, POSITIVE, REQUIRED, Domain, RunConfig,
-                     config_from_dict, count, from_zero, load_config, up_to)
+from .config import (FINITE, INDEX, MAX_REMANENCE_T, NON_NEGATIVE, POSITIVE, REQUIRED, Domain,
+                     RunConfig, config_from_dict, count, from_zero, load_config, up_to)
 from .errors import ConfigError, FieldArmError, InsufficientData, ParseError, UsageError
 from .kinematics import Pose, magnet_pose_for_field_direction, unit_normal
-from .magnetostatics import GAMMA_E_DEFAULT
+from .magnetostatics import GAMMA_E_DEFAULT, MAX_DISTANCE_M, SCHEDULE_MAX_DISTANCE_M
 
 _USAGE_ERRORS = (ConfigError, ParseError, InsufficientData, UsageError)
 
@@ -68,7 +68,7 @@ class Flag(NamedTuple):
     name: str                # option --name with "_" as "-"; the argparse dest
     kind: object = float     # a type, or a tuple of choices
     default: object = None   # or REQUIRED
-    domain: Domain = None    # every int and float flag has one
+    domain: Domain = None    # every int and float flag has one; a unit flag's holds it in SI
     help: str = ""
     columns: dict = None     # an input CSV: column name -> Domain
     unit: str = None         # "angle" or "field": given in the --units mode's unit
@@ -114,6 +114,8 @@ NV = (
     Flag("pi_MHz", default=1.8515, domain=from_zero(1e6)),
     Flag("gamma_GHz_per_T", default=GAMMA_E_DEFAULT * 1e-9, domain=up_to(1000)),
 )
+NV_FIELD = Domain(f"in [-{MAX_REMANENCE_T:g}, {MAX_REMANENCE_T:g}] T",
+                  lambda v: abs(v) <= MAX_REMANENCE_T)
 CALIBRATION_CSV = Flag("input", str, REQUIRED, help="measurement CSV", columns={
     "alpha_y_deg": FINITE, "alpha_z_deg": FINITE, "mass_index": INDEX,
     "Bx_mT": FINITE, "By_mT": FINITE, "Bz_mT": FINITE})
@@ -235,12 +237,14 @@ def _pose_dict(pose: Pose):
 
 
 def _scan_points(args, config: RunConfig):
+    from .alignment import sphere_segment_scan  # deferred, as in every command that uses it
     ay = np.linspace(args.ay_start, args.ay_stop, args.ay_steps)
     az = np.linspace(args.az_start, args.az_stop, args.az_steps)
     return sphere_segment_scan(config.sample, ay, az, args.standoff_m, config.magnet)
 
 
 def cmd_scan(args, config: RunConfig):
+    from .alignment import angular_error
     points = _scan_points(args, config)
     ay, az = np.array([[pt.alpha_y, pt.alpha_z] for pt in points]).T
     errors = angular_error(np.array([pt.predicted_field for pt in points]), unit_normal(ay, az))
@@ -252,6 +256,7 @@ def cmd_scan(args, config: RunConfig):
 
 
 def cmd_calibrate(args, config: RunConfig):
+    from .alignment import calibrate_offsets
     measured = [(math.radians(r["alpha_y_deg"]), math.radians(r["alpha_z_deg"]),
                  int(r["mass_index"]), np.array([r["Bx_mT"], r["By_mT"], r["Bz_mT"]]) * 1e-3)
                 for r in args.rows]
@@ -262,11 +267,11 @@ def cmd_calibrate(args, config: RunConfig):
 
 
 def cmd_schedule(args, config: RunConfig):
+    from .alignment import amplitude_schedule
     sched = amplitude_schedule(np.linspace(args.b_start, args.b_stop, args.steps),
                                config.magnet, unit_normal(args.ay, args.az), config.sample,
                                resolution=args.resolution_m)
-    _emit_csv(args, config, zip(sched.targets, sched.distances, sched.achieved, sched.errors,
-                                sched.error_bounds))
+    _emit_csv(args, config, zip(*sched))  # the fields are the artefact's columns, in order
 
 
 def cmd_partition(args, config: RunConfig):
@@ -279,6 +284,7 @@ def cmd_partition(args, config: RunConfig):
 
 
 def cmd_replace(args, config: RunConfig):
+    from .alignment import replace_forbidden_pose
     forbidden = magnet_pose_for_field_direction(config.sample, args.ay, args.az, args.standoff_m)
     plan = replace_forbidden_pose(
         forbidden, config.sample, config.magnet, config.environment, config.dh,
@@ -310,8 +316,7 @@ def cmd_odmr(args, config: RunConfig):
 
 
 def cmd_fit_nv(args, config: RunConfig):
-    # deferred: only odmr and fit-nv load nvspin
-    from .nvspin import fit_orientation, normalize_splittings
+    from .nvspin import fit_orientation, normalize_splittings  # deferred, as in cmd_odmr
     # subtract in MHz, then scale: scaling first changes the last bits
     splittings = np.array([(r["f_plus_MHz"] - r["f_minus_MHz"]) * 1e6 for r in args.rows])
     magnitudes = np.array([r["B_hall_mT"] * 1e-3 for r in args.rows])
@@ -363,9 +368,9 @@ COMMANDS = {
         Flag("max_steps", int, 40, count(10_000)),
     )),
     "odmr": Command(cmd_odmr, "synthetic ODMR spectrum CSV", NV + (
-        Flag("bx", default=0.0, domain=FINITE, help="NV-frame field component", unit="field"),
-        Flag("by", default=0.0, domain=FINITE, help="NV-frame field component", unit="field"),
-        Flag("bz", default=0.0, domain=FINITE, help="NV-frame field component", unit="field"),
+        Flag("bx", default=0.0, domain=NV_FIELD, help="NV-frame field component", unit="field"),
+        Flag("by", default=0.0, domain=NV_FIELD, help="NV-frame field component", unit="field"),
+        Flag("bz", default=0.0, domain=NV_FIELD, help="NV-frame field component", unit="field"),
         Flag("f_start_MHz", default=2700.0, domain=FINITE),
         Flag("f_stop_MHz", default=3050.0, domain=FINITE),
         Flag("points", int, 1001, count(1_000_000)),
@@ -390,9 +395,11 @@ def _check_args(args, config: RunConfig):
                      or not os.path.isdir(os.path.dirname(os.path.abspath(args.out)))):
         raise UsageError(f"--out {args.out} is a directory, or in a directory that does not exist")
     for flag in COMMON + command.flags:
-        value = getattr(args, flag.name)
-        if flag.domain and value is not None and not flag.domain.ok(value):
-            raise UsageError(f"{flag.option} must be {flag.domain.text}, got {value}")
+        value, unit = getattr(args, flag.name), UNITS[args.units].get(flag.unit)
+        si = value * unit.into if unit else value
+        if flag.domain and value is not None and not flag.domain.ok(si):
+            raise UsageError(f"{flag.option} must be {flag.domain.text}, got {value}"
+                             + (f" {unit.label}" if unit else ""))
     half_length = config.magnet.length / 2.0
     if getattr(args, "standoff_m", math.inf) <= half_length:
         raise UsageError(f"--standoff-m {args.standoff_m} m puts the sample inside the "
@@ -438,7 +445,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config) if args.config else config_from_dict({})
         if args.seed is not None:
-            config = dataclasses.replace(config, resolved={**config.resolved, "seed": args.seed})
+            config = config._replace(resolved={**config.resolved, "seed": args.seed})
         _check_args(args, config)
         command = COMMANDS[args.command]
         # the flags as given, for the header; converted here, as --units may follow them

@@ -14,16 +14,14 @@ The Domains are shared with the CLI's flags and input-CSV columns.
 
 import math
 import os
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
 
-from .alignment import MAX_DISTANCE_M
 from .errors import ConfigError, DegenerateGeometry, ParseError
 from .kinematics import DHTable, N_JOINTS, default_dh_table
-from .magnetostatics import MU0, MagnetSpec, default_magnet_spec
+from .magnetostatics import MAX_DISTANCE_M, MU0, MagnetSpec, default_magnet_spec
 from .rotations import euler_to_matrix
 
 # libyaml's parser where PyYAML was built with it; it pairs the same Python
@@ -116,8 +114,7 @@ TOP = [
 _KINDS = {float: "a number", int: "an integer", str: "a path"}
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     dh: DHTable
     magnet: MagnetSpec
     environment: list

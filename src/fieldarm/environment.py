@@ -16,6 +16,7 @@ once: every IK branch of every pose, every capsule of every branch.
 import enum
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -289,8 +290,7 @@ class AabbTree:
         return best.reshape(shape)
 
 
-@dataclass(frozen=True)
-class CollisionResult:
+class CollisionResult(NamedTuple):
     clear: bool
     min_distance: float | None  # None when the environment is empty
 

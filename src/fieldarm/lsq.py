@@ -15,7 +15,7 @@ Every start takes the steps it would take alone.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +23,7 @@ _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 _TINY = np.finfo(float).tiny
 
 
-@dataclass(frozen=True)
-class LeastSquaresResult:
+class LeastSquaresResult(NamedTuple):
     x: np.ndarray
     fun: np.ndarray     # residuals at x
     jac: np.ndarray     # forward-difference Jacobian at x

@@ -17,6 +17,8 @@ GAMMA_E_DEFAULT = 28.02495e9  # Hz/T, electron gyromagnetic ratio / 2pi
 
 _BOUNDARY_TOL = 1e-9  # m, observer-inside-material detection
 CEL_TOL = 1e-12  # relative convergence tolerance of cel's iteration
+MAX_DISTANCE_M = 10.0  # farthest magnet-sample distance the magnitude search tries
+SCHEDULE_MAX_DISTANCE_M = 0.6  # far end of the ray amplitude_schedule searches
 
 
 @dataclass(frozen=True)

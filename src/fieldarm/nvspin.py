@@ -8,6 +8,7 @@ defect's symmetry axis.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,8 +77,7 @@ class OdmrSpectrum:
         object.__setattr__(self, "contrast", c)
 
 
-@dataclass(frozen=True)
-class OrientationFit:
+class OrientationFit(NamedTuple):
     alpha_y_nv: float        # rad, reported in [0, pi)
     alpha_z_nv: float        # rad, reported in [0, pi)
     B_fit: float             # T (effective, "non-physical" free parameter)

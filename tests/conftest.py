@@ -1,5 +1,7 @@
 import dataclasses
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +14,17 @@ CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 SAMPLE = np.array([0.2, 0.0, 0.3])
 STANDOFF = 0.16
+
+
+def run_fresh(script, *argv, env=None):
+    """stdout of `script` run in a fresh interpreter that imports fieldarm from src/;
+    `env` sets variables on top of this process's, and a value of None unsets one."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    environ = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               **(env or {})}
+    environ = {key: value for key, value in environ.items() if value is not None}
+    return subprocess.run([sys.executable, "-c", script, *argv], env=environ,
+                          capture_output=True, text=True, check=True).stdout
 
 
 @pytest.fixture(scope="session")

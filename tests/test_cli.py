@@ -3,21 +3,19 @@ import csv
 import json
 import math
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 import yaml
 
-from fieldarm import cli
+from fieldarm import alignment, cli
 from fieldarm.alignment import CalibrationResult
 from fieldarm.cli import build_parser, main
 from fieldarm.kinematics import magnet_pose_for_field_direction
 from fieldarm.magnetostatics import cylinder_field, default_magnet_spec
 from fieldarm.nvspin import GAMMA_E_DEFAULT, characteristic_roots, field_polar_angle
 
-from conftest import CONFIG_DIR, SAMPLE, STANDOFF
+from conftest import CONFIG_DIR, SAMPLE, STANDOFF, run_fresh
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 DEFAULT = os.path.join(CONFIG_DIR, "default.yaml")
@@ -289,6 +287,13 @@ CALIBRATION = "<calibration csv>"  # the test writes a valid measurement CSV in 
     ["odmr", "--d-GHz=1e300"],
     ["odmr", "--gamma-GHz-per-T=1e300"],
     ["odmr", "--pi-MHz=1e300"],
+    ["odmr", "--bx=1e300"],
+    ["odmr", "--by=1e300"],
+    ["odmr", "--bz=1e300"],
+    ["--units", "si", "odmr", "--bx=1e300"],
+    ["--units", "si", "odmr", "--by=1e300"],
+    ["--units", "si", "odmr", "--bz=1e300"],
+    ["odmr", "--points", "11", "--bz=1e305"],
 ], ids=["scan-steps-0", "schedule-steps-0", "odmr-points-0", "schedule-resolution-0",
         "odmr-linewidth-0", "scan-standoff-nan", "schedule-ay-nan", "schedule-b-stop-inf",
         "odmr-bz-nan", "scan-standoff-in-magnet", "replace-standoff-in-magnet",
@@ -298,7 +303,8 @@ CALIBRATION = "<calibration csv>"  # the test writes a valid measurement CSV in 
         "partition-ay-steps-1e30", "partition-az-steps-1e30", "schedule-steps-1e30",
         "odmr-points-1e30", "scan-standoff-1e300", "calibrate-standoff-1e300",
         "schedule-resolution-1e300", "odmr-linewidth-1e300", "odmr-d-1e300",
-        "odmr-gamma-1e300", "odmr-pi-1e300"])
+        "odmr-gamma-1e300", "odmr-pi-1e300", "odmr-bx-1e300", "odmr-by-1e300", "odmr-bz-1e300",
+        "odmr-bx-1e300-si", "odmr-by-1e300-si", "odmr-bz-1e300-si", "odmr-bz-1e305"])
 def test_out_of_range_argument_exit_2(tmp_path, capsys, argv):
     if CALIBRATION in argv:
         _write_calibration_csv(tmp_path / "cal.csv")
@@ -405,10 +411,24 @@ def test_unreadable_or_non_finite_config_exit_2(tmp_path, capsys, write_config, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("units, inside, beyond", [("mT-deg", "10000", "10000.001"),
+                                                   ("si", "10", "10.000001")])
+def test_field_flags_share_one_bound_in_both_units(tmp_path, capsys, units, inside, beyond):
+    """10 T, as given in mT or in T: at the bound the spectrum is written, beyond it exit 2."""
+    for flag in ("--bx", "--by", "--bz"):
+        assert "in [-10, 10] T" in SUBCOMMANDS["odmr"]._option_string_actions[flag].help
+    out = tmp_path / "artefact"
+    odmr = ["--units", units, "odmr", "--points", "11", "--out", str(out)]
+    assert main(odmr + ["--bz", inside]) == 0 and out.exists()
+    out.unlink()
+    assert main(odmr + [f"--bz=-{beyond}"]) == 2 and not out.exists()
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --bz must be in [-10, 10] T, got -{beyond} {'T' if units == 'si' else 'mT'}"]
+
+
 @pytest.mark.parametrize("argv", [
     ["odmr", "--points", "11", "--f-stop-MHz=1e303"],
-    ["odmr", "--points", "11", "--bz=1e305"],  # --pi-MHz stops at 1e6, inside the Hamiltonian's range
-], ids=["odmr-grid-overflows", "odmr-hamiltonian-overflows"])
+], ids=["odmr-grid-overflows"])
 def test_non_finite_result_exit_1(tmp_path, capsys, argv):
     out = tmp_path / "artefact"
     assert main(argv + ["--out", str(out)]) == 1
@@ -420,7 +440,7 @@ def test_non_finite_result_exit_1(tmp_path, capsys, argv):
 def test_non_finite_json_value_exit_1(tmp_path, monkeypatch):
     path, out = tmp_path / "cal.csv", tmp_path / "cal.json"
     _write_calibration_csv(path)
-    monkeypatch.setattr(cli, "calibrate_offsets",
+    monkeypatch.setattr(alignment, "calibrate_offsets",
                         lambda *a: CalibrationResult(math.nan, np.zeros(2), 0.0))
     assert main(["calibrate", "--input", str(path), "--out", str(out)]) == 1
     assert "error" in json.loads(out.read_text())
@@ -499,14 +519,6 @@ def test_unknown_units_exit_2():
     assert exc.value.code == 2
 
 
-def _run_fresh(script, *argv):
-    """stdout of `script` run in a fresh interpreter that imports fieldarm from src/."""
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True,
-                          text=True, check=True).stdout
-
-
 def test_fits_import_no_scipy(tmp_path):
     cal, traj = tmp_path / "cal.csv", tmp_path / "traj.csv"
     _write_calibration_csv(cal)
@@ -519,21 +531,24 @@ def test_fits_import_no_scipy(tmp_path):
         f"assert main(['fit-nv', '--input', {str(traj)!r}, '--out', {str(tmp_path / 'f')!r}]) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    assert _run_fresh(script).strip() == "[]"
+    assert run_fresh(script).strip() == "[]"
 
 
 NOT_RUN = ("fieldarm.environment", "fieldarm.nvspin", "numpy.random")
+NO_FIT = NOT_RUN + ("fieldarm.lsq",)
 TRAJECTORY = "<trajectory csv>"  # the test writes a valid trajectory CSV in its place
 
 
 @pytest.mark.parametrize("argv, absent", [
-    ([], NOT_RUN),
-    (["--config", DEFAULT] + _scan_args(), NOT_RUN),
-    (["--config", DEFAULT] + SCHEDULE, NOT_RUN),
+    ([], NO_FIT + ("fieldarm.alignment",)),
+    (["--config", DEFAULT] + _scan_args(), NO_FIT),
+    (["--config", DEFAULT] + SCHEDULE, NO_FIT),
     (["--config", DEFAULT, "calibrate", "--input", CALIBRATION], NOT_RUN),
-    (["fit-nv", "--input", TRAJECTORY], ("fieldarm.environment", "numpy.random")),
-    (["--config", WALLED, "partition"] + _scan_args()[1:], ("fieldarm.nvspin",)),
-], ids=["import-cli", "scan", "schedule", "calibrate", "fit-nv", "partition"])
+    (["fit-nv", "--input", TRAJECTORY],
+     ("fieldarm.alignment", "fieldarm.environment", "numpy.random")),
+    (["--config", WALLED, "partition"] + _scan_args()[1:], ("fieldarm.nvspin", "fieldarm.lsq")),
+    (["odmr", "--points", "11"], ("fieldarm.alignment", "fieldarm.environment")),
+], ids=["import-cli", "scan", "schedule", "calibrate", "fit-nv", "partition", "odmr"])
 def test_commands_import_only_the_layers_they_run(tmp_path, argv, absent):
     """`import fieldarm.cli`, or one command, in a fresh interpreter: the
     layers it does not run stay out of sys.modules."""
@@ -547,9 +562,25 @@ def test_commands_import_only_the_layers_they_run(tmp_path, argv, absent):
               "if argv and fieldarm.cli.main(argv) != 0:\n"
               "    sys.exit('the command failed')\n"
               "print(json.dumps(sorted(sys.modules)))\n")
-    loaded = set(json.loads(_run_fresh(script, json.dumps(argv))))
+    loaded = set(json.loads(run_fresh(script, json.dumps(argv))))
     assert "fieldarm.cli" in loaded
     assert not loaded.intersection(absent)
+
+
+BLAS_THREADS = ("import os\n"
+                "import fieldarm.kinematics\n"
+                "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+                "import fieldarm.cli\n"
+                "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n")
+
+
+@pytest.mark.parametrize("given, after_library, after_cli", [
+    (None, "None", "1"), ("2", "2", "2")], ids=["unset", "caller-sets-2"])
+def test_cli_defaults_to_one_blas_thread(given, after_library, after_cli):
+    """In a fresh interpreter, only `import fieldarm.cli` sets OPENBLAS_NUM_THREADS,
+    and only when the caller has not."""
+    out = run_fresh(BLAS_THREADS, env={"OPENBLAS_NUM_THREADS": given})
+    assert out.split() == [after_library, after_cli]
 
 
 GRID_ANGLES = {"--ay-start": "angle", "--ay-stop": "angle", "--az-start": "angle",

@@ -8,8 +8,13 @@ The copies in `tests/golden/` were written by `golden_artefact` with numpy
 GOLDEN_NUMPY. Absolute paths of the bundled configs (the mesh path in the
 walled configuration) are the only part normalised. numpy's ufunc rounding
 may differ between versions, so another version skips these checks.
+
+The in-process checks run under pytest's numpy, loaded before the CLI could
+set its BLAS thread count; one fresh interpreter that imports `fieldarm.cli`
+first runs every case again as a CLI process would.
 """
 
+import json
 import os
 
 import numpy as np
@@ -17,7 +22,7 @@ import pytest
 
 from fieldarm.cli import main
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, run_fresh
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 GOLDEN_NUMPY = "2.4.6"
@@ -41,17 +46,42 @@ CASES = {
 }
 
 
+FRESH_RUN = ("import json, sys\n"
+             "from fieldarm.cli import main\n"
+             "for argv in json.loads(sys.argv[1]):\n"
+             "    if main(argv) != 0:\n"
+             "        sys.exit(f'failed: {argv}')\n")
+SAME_NUMPY = pytest.mark.skipif(np.__version__ != GOLDEN_NUMPY,
+                                reason=f"golden artefacts were made with numpy {GOLDEN_NUMPY}")
+
+
+def _normalised(path):
+    with open(path) as fh:
+        return fh.read().replace(os.path.abspath(CONFIG_DIR), "<configs>")
+
+
+def _golden(name):
+    with open(os.path.join(GOLDEN_DIR, name)) as fh:
+        return fh.read()
+
+
 def golden_artefact(name, out_dir):
     """Run CASES[name] through the CLI into `out_dir`; the normalised artefact text."""
     out = os.path.join(out_dir, name)
     assert main(CASES[name] + ["--out", out]) == 0
-    with open(out) as fh:
-        return fh.read().replace(os.path.abspath(CONFIG_DIR), "<configs>")
+    return _normalised(out)
 
 
-@pytest.mark.skipif(np.__version__ != GOLDEN_NUMPY,
-                    reason=f"golden artefacts were made with numpy {GOLDEN_NUMPY}")
+@SAME_NUMPY
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_artefact_matches_golden_copy(name, tmp_path):
-    with open(os.path.join(GOLDEN_DIR, name)) as fh:
-        assert golden_artefact(name, str(tmp_path)) == fh.read()
+    assert golden_artefact(name, str(tmp_path)) == _golden(name)
+
+
+@SAME_NUMPY
+def test_fresh_cli_process_matches_every_golden_copy(tmp_path):
+    """All CASES in one interpreter whose BLAS set-up is the CLI's own."""
+    runs = [CASES[name] + ["--out", str(tmp_path / name)] for name in sorted(CASES)]
+    run_fresh(FRESH_RUN, json.dumps(runs), env={"OPENBLAS_NUM_THREADS": None})
+    for name in sorted(CASES):
+        assert _normalised(tmp_path / name) == _golden(name), name

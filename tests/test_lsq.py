@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.optimize import curve_fit
 from scipy.optimize import least_squares as scipy_least_squares
 
-from fieldarm import alignment, nvspin
+from fieldarm import alignment, lsq, nvspin
 from fieldarm.errors import DegenerateFit
 from fieldarm.kinematics import magnet_pose_for_field_direction
 from fieldarm.lsq import least_squares
@@ -128,7 +128,7 @@ def test_calibrate_matches_scipy(d_ay, d_az, noise, seed):
             B = cylinder_field(spec, pose.position, pose.axis, SAMPLE) + rng.normal(0.0, noise, 3)
             rows.append((a, z, mass, B))
     calls = []
-    with _with_oracle(alignment, calls):
+    with _with_oracle(lsq, calls):
         result = alignment.calibrate_offsets(rows, spec, SAMPLE, STANDOFF)
     (ours, theirs), = calls
     assert ours.cost <= theirs.cost * (1.0 + CALIBRATE_COST_RTOL) + 1e-30
@@ -236,7 +236,7 @@ def _calibrate_problem():
                                                    z + offsets[1 + mass], STANDOFF)
             B = cylinder_field(spec, pose.position, pose.axis, SAMPLE) + rng.normal(0, 1e-5, 3)
             rows.append((a, z, mass, B))
-    fun, x0 = _captured(alignment, lambda: alignment.calibrate_offsets(rows, spec, SAMPLE,
+    fun, x0 = _captured(lsq, lambda: alignment.calibrate_offsets(rows, spec, SAMPLE,
                                                                          STANDOFF))
     return fun, x0, np.full(3, 0.05)
 
