@@ -20,13 +20,19 @@ gives each --units mode's label and factors into and out of SI (mT and deg
 by default, T and rad with --units si). Commands see and emit SI values.
 
 A subcommand imports only the layers it runs: alignment for all but odmr and
-fit-nv, which load nvspin (and with it lsq, as calibrate does); environment for
-partition, replace and a config with meshes. OPENBLAS_NUM_THREADS defaults to 1.
+fit-nv, which load nvspin; lsq for calibrate and fit-nv; numpy.random for a
+noisy odmr; environment for partition, replace and a config with meshes.
+OPENBLAS_NUM_THREADS defaults to 1.
+
+run() is the process entry point (`python -m fieldarm.cli`, the `fieldarm`
+script): it freezes the import-time heap, then runs main(). main() does not
+freeze, so an in-process caller such as a test keeps its own GC state.
 """
 
 import argparse
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -97,14 +103,17 @@ COMMON = (
     Flag("out", str, help="output artefact path (default: stdout)"),
     Flag("units", tuple(UNITS), "mT-deg", help="units at the CLI boundary (default: mT-deg)"),
 )
+# ten turns either way; far beyond, a scan pose's position and axis, which come from
+# the angle before and after it is wrapped, drift apart
+ANGLE_FLAG = Domain("in [-20pi, 20pi] rad (+-3600 deg)", lambda v: abs(v) <= 20 * math.pi)
 # the standoff must also clear the magnet's half-length (_check_args)
 STANDOFF = Flag("standoff_m", default=0.16, domain=up_to(MAX_DISTANCE_M))
 GRID = (
-    Flag("ay_start", default=REQUIRED, domain=FINITE, unit="angle"),
-    Flag("ay_stop", default=REQUIRED, domain=FINITE, unit="angle"),
+    Flag("ay_start", default=REQUIRED, domain=ANGLE_FLAG, unit="angle"),
+    Flag("ay_stop", default=REQUIRED, domain=ANGLE_FLAG, unit="angle"),
     Flag("ay_steps", int, REQUIRED, count(1000)),
-    Flag("az_start", default=REQUIRED, domain=FINITE, unit="angle"),
-    Flag("az_stop", default=REQUIRED, domain=FINITE, unit="angle"),
+    Flag("az_start", default=REQUIRED, domain=ANGLE_FLAG, unit="angle"),
+    Flag("az_stop", default=REQUIRED, domain=ANGLE_FLAG, unit="angle"),
     Flag("az_steps", int, REQUIRED, count(1000)),
     STANDOFF,
 )
@@ -116,6 +125,8 @@ NV = (
 )
 NV_FIELD = Domain(f"in [-{MAX_REMANENCE_T:g}, {MAX_REMANENCE_T:g}] T",
                   lambda v: abs(v) <= MAX_REMANENCE_T)
+# up to --d-GHz's own ceiling; the window must also run upwards (_check_args)
+ODMR_FREQUENCY = from_zero(1e6)
 CALIBRATION_CSV = Flag("input", str, REQUIRED, help="measurement CSV", columns={
     "alpha_y_deg": FINITE, "alpha_z_deg": FINITE, "mass_index": INDEX,
     "Bx_mT": FINITE, "By_mT": FINITE, "Bz_mT": FINITE})
@@ -309,9 +320,11 @@ def cmd_odmr(args, config: RunConfig):
     params = NVParams(D=args.d_GHz * 1e9, Pi=args.pi_MHz * 1e6,
                       gamma_e=args.gamma_GHz_per_T * 1e9)
     grid = np.linspace(args.f_start_MHz * 1e6, args.f_stop_MHz * 1e6, args.points)
+    # a noise-free spectrum draws nothing, so it leaves numpy.random unloaded
+    rng = np.random.default_rng(config.seed) if args.noise > 0 else None
     spectrum = odmr_spectrum(params, np.array([args.bx, args.by, args.bz]),
                              args.linewidth_MHz * 1e6, args.depth, grid,
-                             noise_sigma=args.noise, rng=np.random.default_rng(config.seed))
+                             noise_sigma=args.noise, rng=rng)
     _emit_csv(args, config, zip(spectrum.frequencies * 1e-6, spectrum.contrast))
 
 
@@ -353,15 +366,15 @@ COMMANDS = {
         Flag("b_start", default=REQUIRED, domain=FINITE, help="first target amplitude", unit="field"),
         Flag("b_stop", default=REQUIRED, domain=FINITE, help="last target amplitude", unit="field"),
         Flag("steps", int, REQUIRED, count(10_000)),
-        Flag("ay", default=0.0, domain=FINITE, help="ray direction angle", unit="angle"),
-        Flag("az", default=0.0, domain=FINITE, help="ray direction angle", unit="angle"),
+        Flag("ay", default=0.0, domain=ANGLE_FLAG, help="ray direction angle", unit="angle"),
+        Flag("az", default=0.0, domain=ANGLE_FLAG, help="ray direction angle", unit="angle"),
         Flag("resolution_m", default=0.0005, domain=up_to(SCHEDULE_MAX_DISTANCE_M)),
     ), ("target_{field}", "distance_m", "achieved_{field}", "error_{field}", "error_bound_{field}")),
     "partition": Command(cmd_partition, "classify scan poses as reachable/forbidden", GRID,
                          ("alpha_y_{angle}", "alpha_z_{angle}", "status", "order_index")),
     "replace": Command(cmd_replace, "replace one collision-forbidden pose", (
-        Flag("ay", default=REQUIRED, domain=FINITE, help="forbidden pose angle", unit="angle"),
-        Flag("az", default=REQUIRED, domain=FINITE, help="forbidden pose angle", unit="angle"),
+        Flag("ay", default=REQUIRED, domain=ANGLE_FLAG, help="forbidden pose angle", unit="angle"),
+        Flag("az", default=REQUIRED, domain=ANGLE_FLAG, help="forbidden pose angle", unit="angle"),
         STANDOFF,
         Flag("axis", ("y", "z"), "y"),
         Flag("step_m", default=0.005, domain=POSITIVE),
@@ -371,8 +384,8 @@ COMMANDS = {
         Flag("bx", default=0.0, domain=NV_FIELD, help="NV-frame field component", unit="field"),
         Flag("by", default=0.0, domain=NV_FIELD, help="NV-frame field component", unit="field"),
         Flag("bz", default=0.0, domain=NV_FIELD, help="NV-frame field component", unit="field"),
-        Flag("f_start_MHz", default=2700.0, domain=FINITE),
-        Flag("f_stop_MHz", default=3050.0, domain=FINITE),
+        Flag("f_start_MHz", default=2700.0, domain=ODMR_FREQUENCY),
+        Flag("f_stop_MHz", default=3050.0, domain=ODMR_FREQUENCY),
         Flag("points", int, 1001, count(1_000_000)),
         Flag("linewidth_MHz", default=5.0, domain=up_to(10_000)),
         Flag("depth", default=0.02, domain=Domain("in (0, 1)", lambda v: 0 < v < 1)),
@@ -386,9 +399,10 @@ COMMANDS = {
 def _check_args(args, config: RunConfig):
     """Hold every flag and input-CSV cell to its declared domain, before any work.
 
-    Two rules span fields: the standoff must put the sample beyond the
-    magnet's end face, and a trajectory row needs f_plus >= f_minus. The
-    checked CSV rows are left in args.rows.
+    Three rules span fields: the standoff must put the sample beyond the
+    magnet's end face, odmr's window needs f_start < f_stop, and a
+    trajectory row needs f_plus >= f_minus. The checked CSV rows are left in
+    args.rows.
     """
     command = COMMANDS[args.command]
     if args.out and (os.path.isdir(args.out)
@@ -404,6 +418,9 @@ def _check_args(args, config: RunConfig):
     if getattr(args, "standoff_m", math.inf) <= half_length:
         raise UsageError(f"--standoff-m {args.standoff_m} m puts the sample inside the "
                          f"magnet (half-length {half_length} m)")
+    if getattr(args, "f_start_MHz", -math.inf) >= getattr(args, "f_stop_MHz", math.inf):
+        raise UsageError(f"--f-start-MHz {args.f_start_MHz} must lie below "
+                         f"--f-stop-MHz {args.f_stop_MHz}")
     for flag in command.flags:
         if flag.columns:
             args.rows = _read_csv_rows(args.input, flag.columns)
@@ -467,5 +484,18 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> int:
+    """The process entry point: `python -m fieldarm.cli` and the `fieldarm` script.
+
+    Everything alive here (numpy, PyYAML, fieldarm's tables) lives until
+    exit, so gc.freeze() moves it where no collection walks it, the
+    collections at interpreter exit included; the objects the command
+    creates stay collectable. main() itself does not freeze, so an
+    in-process caller keeps its own GC state.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import DegenerateFit, FitDiverged, InsufficientData, StateMixingTooStrong, ZeroMagnitude
 from .kinematics import unit_normal
-from .lsq import least_squares, parameter_errors
 from .magnetostatics import GAMMA_E_DEFAULT
 
 FIT_GRID_SIZE = 12  # start angles per axis of fit_orientation's grid
@@ -182,6 +181,7 @@ def fit_orientation(trajectory, D, Pi, gamma_e=GAMMA_E_DEFAULT) -> OrientationFi
     nu_n in Hz. Multi-start over an angle grid guards against local minima.
     The +-axis degeneracy is resolved by reporting angles in [0, pi).
     """
+    from .lsq import least_squares, parameter_errors  # deferred: odmr fits nothing
     traj = np.asarray(trajectory, dtype=float).reshape(-1, 3)
     if len(traj) < 4:
         raise InsufficientData(f"need >= 4 trajectory points, got {len(traj)}")
@@ -283,6 +283,7 @@ def fit_resonances(spectrum: OdmrSpectrum) -> ResonancePair:
     The parameters are the dip centres, the width, the depths and the
     baseline; the errors are lsq.parameter_errors of the fit.
     """
+    from .lsq import least_squares, parameter_errors  # deferred, as in fit_orientation
     f = spectrum.frequencies
     c = spectrum.contrast
     if len(f) <= 4:

@@ -16,15 +16,25 @@ SAMPLE = np.array([0.2, 0.0, 0.3])
 STANDOFF = 0.16
 
 
-def run_fresh(script, *argv, env=None):
-    """stdout of `script` run in a fresh interpreter that imports fieldarm from src/;
+def _fresh(args, env=None, check=True):
+    """`python args` in a fresh interpreter that imports fieldarm from src/;
     `env` sets variables on top of this process's, and a value of None unsets one."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     environ = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
                **(env or {})}
     environ = {key: value for key, value in environ.items() if value is not None}
-    return subprocess.run([sys.executable, "-c", script, *argv], env=environ,
-                          capture_output=True, text=True, check=True).stdout
+    return subprocess.run([sys.executable, *args], env=environ,
+                          capture_output=True, text=True, check=check)
+
+
+def run_fresh(script, *argv, env=None):
+    """stdout of `script` run in a fresh interpreter."""
+    return _fresh(["-c", script, *argv], env).stdout
+
+
+def run_cli(*argv):
+    """`python -m fieldarm.cli argv` as a process of its own, whatever its exit code."""
+    return _fresh(["-m", "fieldarm.cli", *argv], check=False)
 
 
 @pytest.fixture(scope="session")

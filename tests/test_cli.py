@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from fieldarm import alignment, cli
+from fieldarm import alignment, cli, nvspin
 from fieldarm.alignment import CalibrationResult
 from fieldarm.cli import build_parser, main
 from fieldarm.kinematics import magnet_pose_for_field_direction
@@ -294,6 +294,14 @@ CALIBRATION = "<calibration csv>"  # the test writes a valid measurement CSV in 
     ["--units", "si", "odmr", "--by=1e300"],
     ["--units", "si", "odmr", "--bz=1e300"],
     ["odmr", "--points", "11", "--bz=1e305"],
+    ["odmr", "--points", "3", "--f-start-MHz=1e300", "--f-stop-MHz=-1e300"],
+    ["odmr", "--f-start-MHz", "3050", "--f-stop-MHz", "2700"],
+    ["odmr", "--f-start-MHz", "2800", "--f-stop-MHz", "2800"],
+    ["odmr", "--f-start-MHz=-1"],
+    ["odmr", "--points", "11", "--f-stop-MHz=1e303"],
+    ["scan", "--ay-start=1e17", "--ay-stop=1e17", "--ay-steps", "1",
+     "--az-start", "10", "--az-stop", "10", "--az-steps", "1"],
+    ["--config", WALLED, "replace", "--ay", "30", "--az=-3601"],
 ], ids=["scan-steps-0", "schedule-steps-0", "odmr-points-0", "schedule-resolution-0",
         "odmr-linewidth-0", "scan-standoff-nan", "schedule-ay-nan", "schedule-b-stop-inf",
         "odmr-bz-nan", "scan-standoff-in-magnet", "replace-standoff-in-magnet",
@@ -304,7 +312,9 @@ CALIBRATION = "<calibration csv>"  # the test writes a valid measurement CSV in 
         "odmr-points-1e30", "scan-standoff-1e300", "calibrate-standoff-1e300",
         "schedule-resolution-1e300", "odmr-linewidth-1e300", "odmr-d-1e300",
         "odmr-gamma-1e300", "odmr-pi-1e300", "odmr-bx-1e300", "odmr-by-1e300", "odmr-bz-1e300",
-        "odmr-bx-1e300-si", "odmr-by-1e300-si", "odmr-bz-1e300-si", "odmr-bz-1e305"])
+        "odmr-bx-1e300-si", "odmr-by-1e300-si", "odmr-bz-1e300-si", "odmr-bz-1e305",
+        "odmr-window-1e300", "odmr-window-backwards", "odmr-window-empty",
+        "odmr-f-start-negative", "odmr-f-stop-1e303", "scan-ay-1e17", "replace-az-3601"])
 def test_out_of_range_argument_exit_2(tmp_path, capsys, argv):
     if CALIBRATION in argv:
         _write_calibration_csv(tmp_path / "cal.csv")
@@ -426,12 +436,33 @@ def test_field_flags_share_one_bound_in_both_units(tmp_path, capsys, units, insi
         f"error: --bz must be in [-10, 10] T, got -{beyond} {'T' if units == 'si' else 'mT'}"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["odmr", "--points", "11", "--f-stop-MHz=1e303"],
-], ids=["odmr-grid-overflows"])
-def test_non_finite_result_exit_1(tmp_path, capsys, argv):
+@pytest.mark.parametrize("units, inside, beyond", [("mT-deg", "3600", "3600.000001"),
+                                                   ("si", repr(20 * math.pi), "62.831854")])
+def test_angle_flags_share_one_bound_in_both_units(tmp_path, capsys, units, inside, beyond):
+    """Ten turns, as given in deg or in rad: at the bound the scan is written,
+    beyond it exit 2. Every angle flag holds this one domain."""
+    for command in cli.COMMANDS.values():
+        for flag in command.flags:
+            assert (flag.domain is cli.ANGLE_FLAG) == (flag.unit == "angle"), flag.name
     out = tmp_path / "artefact"
-    assert main(argv + ["--out", str(out)]) == 1
+    scan = ["--units", units, "scan", "--ay-steps", "1", "--az-steps", "1", "--out", str(out)]
+    grid = ("--ay-start", "--ay-stop", "--az-start", "--az-stop")
+    for value in (inside, f"-{inside}"):
+        assert main(scan + [f"{flag}={value}" for flag in grid]) == 0 and out.exists()
+        out.unlink()
+    capsys.readouterr()
+    assert main(scan + [f"{flag}=0" for flag in grid[:3]] + [f"--az-stop=-{beyond}"]) == 2
+    assert not out.exists()
+    unit = "rad" if units == "si" else "deg"
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --az-stop must be in [-20pi, 20pi] rad (+-3600 deg), got -{beyond} {unit}"]
+
+
+def test_non_finite_csv_value_exit_1(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "spectrum.csv"
+    monkeypatch.setattr(nvspin, "odmr_spectrum",
+                        lambda *a, **k: nvspin.OdmrSpectrum([2.8e9, math.inf], [1.0, 1.0]))
+    assert main(["odmr", "--points", "2", "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "error" in json.loads(out.read_text())
@@ -547,7 +578,8 @@ TRAJECTORY = "<trajectory csv>"  # the test writes a valid trajectory CSV in its
     (["fit-nv", "--input", TRAJECTORY],
      ("fieldarm.alignment", "fieldarm.environment", "numpy.random")),
     (["--config", WALLED, "partition"] + _scan_args()[1:], ("fieldarm.nvspin", "fieldarm.lsq")),
-    (["odmr", "--points", "11"], ("fieldarm.alignment", "fieldarm.environment")),
+    (["odmr", "--points", "11"],
+     ("fieldarm.alignment", "fieldarm.environment", "numpy.random", "fieldarm.lsq")),
 ], ids=["import-cli", "scan", "schedule", "calibrate", "fit-nv", "partition", "odmr"])
 def test_commands_import_only_the_layers_they_run(tmp_path, argv, absent):
     """`import fieldarm.cli`, or one command, in a fresh interpreter: the

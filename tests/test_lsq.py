@@ -152,7 +152,7 @@ def test_fit_orientation_matches_scipy(axis, rows, B_mT, noise_kHz, seed):
     nu = splitting_from_cubic(D_ANCHOR, PI_ANCHOR, GAMMA_E_DEFAULT * B_mT * 1e-3, gammas)
     nu = nu + rng.normal(0.0, noise_kHz * 1e3, rows)
     calls = []
-    with _with_oracle(nvspin, calls):
+    with _with_oracle(lsq, calls):
         try:
             fit = fit_orientation(np.column_stack([ay_B, az_B, nu]), D_ANCHOR, PI_ANCHOR)
         except DegenerateFit:
@@ -248,7 +248,7 @@ def _orientation_problem():
     gammas = field_polar_angle(ay_B, az_B, *np.deg2rad([97.6, 64.1]))
     nu = splitting_from_cubic(D_ANCHOR, PI_ANCHOR, GAMMA_E_DEFAULT * 3e-3, gammas)
     trajectory = np.column_stack([ay_B, az_B, nu + rng.normal(0.0, 20e3, 8)])
-    fun, x0 = _captured(nvspin, lambda: fit_orientation(trajectory, D_ANCHOR, PI_ANCHOR))
+    fun, x0 = _captured(lsq, lambda: fit_orientation(trajectory, D_ANCHOR, PI_ANCHOR))
     return fun, x0, np.array([0.2, 0.2, 3e-4])
 
 
@@ -257,7 +257,7 @@ def _dip_problem():
     B_nv = 3e-3 * np.array([0.3, 0.3, math.sqrt(0.82)])
     spectrum = odmr_spectrum(NVParams(D=D_ANCHOR, Pi=PI_ANCHOR), B_nv, 4e6, 0.02,
                              np.linspace(2.70e9, 3.05e9, 701), noise_sigma=0.002, rng=rng)
-    fun, x0 = _captured(nvspin, lambda: fit_resonances(spectrum))
+    fun, x0 = _captured(lsq, lambda: fit_resonances(spectrum))
     return fun, x0, np.array([2e6, 2e6, 2e6, 3e-3, 3e-3, 2e-3])
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fieldarm import nvspin
+from fieldarm import lsq, nvspin
 from fieldarm.errors import DegenerateFit, FitDiverged, InsufficientData, ZeroMagnitude
 from fieldarm.lsq import least_squares
 from fieldarm.nvspin import (
@@ -224,7 +224,7 @@ def test_fit_orientation_refines_its_starts_as_one_stack():
     def record(fun, x0, **kwargs):
         stacks.append(np.shape(x0))
         return least_squares(fun, x0, **kwargs)
-    with mock.patch.object(nvspin, "least_squares", record):
+    with mock.patch.object(lsq, "least_squares", record):
         fit_orientation(make_trajectory(), D_ANCHOR, PI_ANCHOR)
     assert stacks == [(nvspin.FIT_REFINE_STARTS, 3)]
 
