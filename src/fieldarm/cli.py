@@ -7,12 +7,12 @@ written atomically (temp file + rename). Exit codes: 0 success, 1
 runtime/algorithmic failure, 2 usage or configuration error.
 
 Every input is declared once, as a Flag in COMMON or COMMANDS (type or
-choices, default, help, Domain; an input CSV's columns with their Domains).
-The Domains live in `config`, whose tables declare the YAML keys the same
-way; `--seed` and the configuration's `seed` share one.
-The parser and --help, the checks in _check_args (a value outside its
-domain is exit 2) and a CSV artefact's `# args` header all read these
-entries. A non-finite number never reaches an artefact: that is exit 1.
+choices, default, help, Domain, Rule; an input CSV's columns as Flags). The
+Domains live in `config`, whose tables declare the YAML keys the same way;
+`--seed` and the configuration's `seed` share one. A Rule bounds a value by
+an earlier flag or column, or by the configuration. The parser and --help,
+the one pass of _check_args (out of a domain or rule: exit 2) and a CSV's
+`# args` header read these entries. A non-finite artefact value is exit 1.
 
 Units are declared the same way: a Flag's `unit`, or an {angle} or {field}
 tag in a CSV column (Command.columns) or JSON key, names its quantity. UNITS
@@ -70,14 +70,20 @@ UNITS = {
 }
 
 
+class Rule(NamedTuple):
+    text: str             # "> other" or ">= other": a --flag or column checked before, or
+    of: Callable = None   # RunConfig -> a quantity of the configuration, in SI
+
+
 class Flag(NamedTuple):
     name: str                # option --name with "_" as "-"; the argparse dest
     kind: object = float     # a type, or a tuple of choices
     default: object = None   # or REQUIRED
     domain: Domain = None    # every int and float flag has one; a unit flag's holds it in SI
     help: str = ""
-    columns: dict = None     # an input CSV: column name -> Domain
+    columns: tuple = None    # an input CSV: a Flag for each column
     unit: str = None         # "angle" or "field": given in the --units mode's unit
+    rule: Rule = None        # held in SI, as the domain is
 
     @property
     def option(self):
@@ -85,16 +91,26 @@ class Flag(NamedTuple):
 
     @property
     def help_text(self):
-        text = self.help
-        if self.domain:
-            text = f"{text} ({self.domain.text})" if text else self.domain.text
+        text, limits = self.help, "; ".join(c.text for c in (self.domain, self.rule) if c)
+        if limits:
+            text = f"{text} ({limits})" if text else limits
         if self.columns:
-            text += " with columns " + ", ".join(
-                f"{name} ({domain.text})" for name, domain in self.columns.items())
+            text += " with columns " + ", ".join(f"{c.name} ({c.help_text})" for c in self.columns)
         if self.unit:
             text += (f"; {UNITS['mT-deg'][self.unit].label}, "
                      f"or {UNITS['si'][self.unit].label} with --units si")
         return text
+
+    def refusal(self, values, config: RunConfig):
+        """How values[name], in SI, breaks the domain or the rule; None if it keeps both."""
+        value, rule = values[self.name], self.rule
+        if self.domain and value is not None and not self.domain.ok(value):
+            return f"must be {self.domain.text}"
+        if rule:
+            op, other = rule.text.split(" ", 1)
+            bound = rule.of(config) if rule.of else values[other.lstrip("-").replace("-", "_")]
+            if not (value > bound if op == ">" else value >= bound):
+                return f"must be {rule.text} {bound}"
 
 
 COMMON = (
@@ -106,8 +122,8 @@ COMMON = (
 # ten turns either way; far beyond, a scan pose's position and axis, which come from
 # the angle before and after it is wrapped, drift apart
 ANGLE_FLAG = Domain("in [-20pi, 20pi] rad (+-3600 deg)", lambda v: abs(v) <= 20 * math.pi)
-# the standoff must also clear the magnet's half-length (_check_args)
-STANDOFF = Flag("standoff_m", default=0.16, domain=up_to(MAX_DISTANCE_M))
+STANDOFF = Flag("standoff_m", default=0.16, domain=up_to(MAX_DISTANCE_M), rule=Rule(
+    "> the magnet's half-length", lambda config: config.magnet.length / 2.0))
 GRID = (
     Flag("ay_start", default=REQUIRED, domain=ANGLE_FLAG, unit="angle"),
     Flag("ay_stop", default=REQUIRED, domain=ANGLE_FLAG, unit="angle"),
@@ -125,15 +141,18 @@ NV = (
 )
 NV_FIELD = Domain(f"in [-{MAX_REMANENCE_T:g}, {MAX_REMANENCE_T:g}] T",
                   lambda v: abs(v) <= MAX_REMANENCE_T)
-# up to --d-GHz's own ceiling; the window must also run upwards (_check_args)
+TARGET_FIELD = Domain(f"in (0, {MAX_REMANENCE_T:g}] T", lambda v: 0 < v <= MAX_REMANENCE_T)
+# up to --d-GHz's own ceiling
 ODMR_FREQUENCY = from_zero(1e6)
-CALIBRATION_CSV = Flag("input", str, REQUIRED, help="measurement CSV", columns={
-    "alpha_y_deg": FINITE, "alpha_z_deg": FINITE, "mass_index": INDEX,
-    "Bx_mT": FINITE, "By_mT": FINITE, "Bz_mT": FINITE})
-# each row must also have f_plus_MHz >= f_minus_MHz (_check_args)
-TRAJECTORY_CSV = Flag("input", str, REQUIRED, help="trajectory CSV", columns={
-    "alpha_yB_deg": FINITE, "alpha_zB_deg": FINITE, "f_minus_MHz": POSITIVE,
-    "f_plus_MHz": POSITIVE, "B_hall_mT": POSITIVE})
+CALIBRATION_CSV = Flag("input", str, REQUIRED, help="measurement CSV", columns=(
+    Flag("alpha_y_deg", domain=FINITE), Flag("alpha_z_deg", domain=FINITE),
+    Flag("mass_index", domain=INDEX), Flag("Bx_mT", domain=FINITE),
+    Flag("By_mT", domain=FINITE), Flag("Bz_mT", domain=FINITE)))
+TRAJECTORY_CSV = Flag("input", str, REQUIRED, help="trajectory CSV", columns=(
+    Flag("alpha_yB_deg", domain=FINITE), Flag("alpha_zB_deg", domain=FINITE),
+    Flag("f_minus_MHz", domain=POSITIVE),
+    Flag("f_plus_MHz", domain=POSITIVE, rule=Rule(">= f_minus_MHz")),
+    Flag("B_hall_mT", domain=POSITIVE)))
 
 
 def _fmt(x) -> str:
@@ -213,28 +232,28 @@ def _emit_json(args, config: RunConfig, payload):
                             "seed": config.seed, **_in_units(payload, UNITS[args.units])}))
 
 
-def _read_csv_rows(path, columns):
-    """Data rows as floats, every cell held to its column's domain."""
+def _read_csv_rows(path, columns, config: RunConfig):
+    """Data rows as floats, every cell held to its column's domain and rule."""
     try:
         with open(path, newline="") as fh:
-            lines = [ln for ln in fh if not ln.startswith("#")]
+            lines = [(i, ln) for i, ln in enumerate(fh, start=1) if not ln.startswith("#")]
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read input file {path}: {exc}") from None
-    reader = csv.DictReader(lines)
-    missing = [c for c in columns if c not in (reader.fieldnames or ())]
+    reader = csv.DictReader(ln for _, ln in lines)
+    missing = [c.name for c in columns if c.name not in (reader.fieldnames or ())]
     if missing:
-        raise ParseError(f"{path}: missing column '{missing[0]}'", line=1)
+        raise ParseError(f"{path}: missing column '{missing[0]}'", line=lines[0][0] if lines else 1)
     rows = []
-    for i, rec in enumerate(reader, start=2):
-        parsed = {}
-        for col, domain in columns.items():
+    for rec in reader:
+        i, parsed = lines[reader.line_num - 1][0], {}  # the file line the row ends on
+        for col in columns:
             try:
-                parsed[col] = float(rec[col])
+                parsed[col.name] = float(rec[col.name])
             except (TypeError, ValueError):
-                parsed[col] = math.nan
-            if not domain.ok(parsed[col]):
-                raise ParseError(f"{path}: column '{col}' must be {domain.text}, "
-                                 f"got {rec[col]!r}", line=i)
+                parsed[col.name] = math.nan
+            if refusal := col.refusal(parsed, config):
+                raise ParseError(f"{path}: column '{col.name}' {refusal}, "
+                                 f"got {rec[col.name]!r}", line=i)
         rows.append(parsed)
     if not rows:
         raise ParseError(f"{path}: no data rows", line=2)
@@ -363,8 +382,8 @@ COMMANDS = {
     "calibrate": Command(cmd_calibrate, "fit pose offsets from a measurement CSV",
                          (CALIBRATION_CSV, STANDOFF)),
     "schedule": Command(cmd_schedule, "amplitude schedule along a fixed ray", (
-        Flag("b_start", default=REQUIRED, domain=FINITE, help="first target amplitude", unit="field"),
-        Flag("b_stop", default=REQUIRED, domain=FINITE, help="last target amplitude", unit="field"),
+        Flag("b_start", float, REQUIRED, TARGET_FIELD, "first target amplitude", unit="field"),
+        Flag("b_stop", float, REQUIRED, TARGET_FIELD, "last target amplitude", unit="field"),
         Flag("steps", int, REQUIRED, count(10_000)),
         Flag("ay", default=0.0, domain=ANGLE_FLAG, help="ray direction angle", unit="angle"),
         Flag("az", default=0.0, domain=ANGLE_FLAG, help="ray direction angle", unit="angle"),
@@ -385,7 +404,7 @@ COMMANDS = {
         Flag("by", default=0.0, domain=NV_FIELD, help="NV-frame field component", unit="field"),
         Flag("bz", default=0.0, domain=NV_FIELD, help="NV-frame field component", unit="field"),
         Flag("f_start_MHz", default=2700.0, domain=ODMR_FREQUENCY),
-        Flag("f_stop_MHz", default=3050.0, domain=ODMR_FREQUENCY),
+        Flag("f_stop_MHz", default=3050.0, domain=ODMR_FREQUENCY, rule=Rule("> --f-start-MHz")),
         Flag("points", int, 1001, count(1_000_000)),
         Flag("linewidth_MHz", default=5.0, domain=up_to(10_000)),
         Flag("depth", default=0.02, domain=Domain("in (0, 1)", lambda v: 0 < v < 1)),
@@ -397,36 +416,23 @@ COMMANDS = {
 
 
 def _check_args(args, config: RunConfig):
-    """Hold every flag and input-CSV cell to its declared domain, before any work.
-
-    Three rules span fields: the standoff must put the sample beyond the
-    magnet's end face, odmr's window needs f_start < f_stop, and a
-    trajectory row needs f_plus >= f_minus. The checked CSV rows are left in
-    args.rows.
-    """
+    """Hold every flag, and each cell of its input CSV, to its domain and rule before any
+    work; args keeps the flags as given in `given` and is left in SI, the rows in `rows`."""
     command = COMMANDS[args.command]
+    args.given = {flag.name: getattr(args, flag.name) for flag in command.flags}
     if args.out and (os.path.isdir(args.out)
                      or not os.path.isdir(os.path.dirname(os.path.abspath(args.out)))):
         raise UsageError(f"--out {args.out} is a directory, or in a directory that does not exist")
+    si = {}
     for flag in COMMON + command.flags:
         value, unit = getattr(args, flag.name), UNITS[args.units].get(flag.unit)
-        si = value * unit.into if unit else value
-        if flag.domain and value is not None and not flag.domain.ok(si):
-            raise UsageError(f"{flag.option} must be {flag.domain.text}, got {value}"
+        si[flag.name] = value * unit.into if unit else value
+        if refusal := flag.refusal(si, config):
+            raise UsageError(f"{flag.option} {refusal}, got {value}"
                              + (f" {unit.label}" if unit else ""))
-    half_length = config.magnet.length / 2.0
-    if getattr(args, "standoff_m", math.inf) <= half_length:
-        raise UsageError(f"--standoff-m {args.standoff_m} m puts the sample inside the "
-                         f"magnet (half-length {half_length} m)")
-    if getattr(args, "f_start_MHz", -math.inf) >= getattr(args, "f_stop_MHz", math.inf):
-        raise UsageError(f"--f-start-MHz {args.f_start_MHz} must lie below "
-                         f"--f-stop-MHz {args.f_stop_MHz}")
-    for flag in command.flags:
         if flag.columns:
-            args.rows = _read_csv_rows(args.input, flag.columns)
-    for i, row in enumerate(getattr(args, "rows", ()), start=2):
-        if "f_plus_MHz" in row and row["f_plus_MHz"] < row["f_minus_MHz"]:
-            raise ParseError(f"{args.input}: f_plus_MHz is below f_minus_MHz", line=i)
+            args.rows = _read_csv_rows(value, flag.columns, config)
+    vars(args).update(si)
 
 
 def _add_flag(parser, flag: Flag, default):
@@ -464,13 +470,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             config = config._replace(resolved={**config.resolved, "seed": args.seed})
         _check_args(args, config)
-        command = COMMANDS[args.command]
-        # the flags as given, for the header; converted here, as --units may follow them
-        args.given = {flag.name: getattr(args, flag.name) for flag in command.flags}
-        for flag in command.flags:
-            if flag.unit:
-                setattr(args, flag.name, args.given[flag.name] * UNITS[args.units][flag.unit].into)
-        command.run(args, config)
+        COMMANDS[args.command].run(args, config)
         return 0
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -302,6 +302,10 @@ CALIBRATION = "<calibration csv>"  # the test writes a valid measurement CSV in 
     ["scan", "--ay-start=1e17", "--ay-stop=1e17", "--ay-steps", "1",
      "--az-start", "10", "--az-stop", "10", "--az-steps", "1"],
     ["--config", WALLED, "replace", "--ay", "30", "--az=-3601"],
+    ["schedule", "--b-start=-1", "--b-stop", "10", "--steps", "3"],
+    ["schedule", "--b-start=0", "--b-stop", "10", "--steps", "3"],
+    ["schedule", "--b-start=1e300", "--b-stop", "10", "--steps", "3"],
+    ["--units", "si", "schedule", "--b-start", "0.001", "--b-stop=10.000001", "--steps", "3"],
 ], ids=["scan-steps-0", "schedule-steps-0", "odmr-points-0", "schedule-resolution-0",
         "odmr-linewidth-0", "scan-standoff-nan", "schedule-ay-nan", "schedule-b-stop-inf",
         "odmr-bz-nan", "scan-standoff-in-magnet", "replace-standoff-in-magnet",
@@ -314,7 +318,9 @@ CALIBRATION = "<calibration csv>"  # the test writes a valid measurement CSV in 
         "odmr-gamma-1e300", "odmr-pi-1e300", "odmr-bx-1e300", "odmr-by-1e300", "odmr-bz-1e300",
         "odmr-bx-1e300-si", "odmr-by-1e300-si", "odmr-bz-1e300-si", "odmr-bz-1e305",
         "odmr-window-1e300", "odmr-window-backwards", "odmr-window-empty",
-        "odmr-f-start-negative", "odmr-f-stop-1e303", "scan-ay-1e17", "replace-az-3601"])
+        "odmr-f-start-negative", "odmr-f-stop-1e303", "scan-ay-1e17", "replace-az-3601",
+        "schedule-b-start-negative", "schedule-b-start-0", "schedule-b-start-1e300",
+        "schedule-b-stop-past-10-T-si"])
 def test_out_of_range_argument_exit_2(tmp_path, capsys, argv):
     if CALIBRATION in argv:
         _write_calibration_csv(tmp_path / "cal.csv")
@@ -324,6 +330,16 @@ def test_out_of_range_argument_exit_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("units, b_stop", [("mT-deg", "10000"), ("si", "10")])
+def test_schedule_target_in_range_but_unreachable_exit_1(tmp_path, capsys, units, b_stop):
+    """10 T lies in the targets' domain, but no distance of the default magnet gives it."""
+    out = tmp_path / "schedule.json"
+    assert main(["--units", units, "schedule", "--b-start", b_stop, "--b-stop", b_stop,
+                 "--steps", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: TargetUnreachable: ")
+    assert json.loads(out.read_text())["error"] == "TargetUnreachable"
 
 
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])
@@ -498,38 +514,31 @@ def _numbers(text):
     return found
 
 
+BASE_FLAGS = {  # a command line that keeps every domain and rule, as flags given
+    "scan": {"ay_start": "0", "ay_stop": "10", "ay_steps": "2", "az_start": "0", "az_stop": "10",
+             "az_steps": "2"},
+    "schedule": {"b_start": "0.5", "b_stop": "10", "steps": "3"},
+    "replace": {"ay": "20", "az": "30"}, "odmr": {"points": "11"}, "calibrate": {}, "fit-nv": {},
+}
+BASE_FLAGS["partition"] = BASE_FLAGS["scan"]
+
+
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
-def test_numeric_flags_refuse_or_give_finite_artefacts(tmp_path, capsys, command):
-    """Each int and float flag has a declared domain; at the edges of every
-    domain main exits 0 with a finite artefact, 1, or 2 with no artefact."""
+def test_numeric_flags_refuse_or_give_finite_artefacts(command):
+    """Each int and float flag has a declared domain. At the edges of every
+    domain main exits 2, with one `error:` line and no artefact, exactly when
+    the value breaks its domain or rule; otherwise 1, or 0 with a finite
+    artefact of the declared columns that a re-run repeats byte for byte."""
+    # test_contract imports this module, so it is imported here
+    from test_contract import Case, check_contract, input_columns, valid_csv
     declared = {flag.name: flag for flag in cli.COMMON + cli.COMMANDS[command].flags}
-    if command in ("calibrate", "fit-nv"):
-        _write_input_csv(command, tmp_path / "input.csv")
-        base = [command, "--input", str(tmp_path / "input.csv")]
-    else:
-        base = {"scan": _scan_args(), "partition": ["partition"] + _scan_args()[1:],
-                "schedule": SCHEDULE, "replace": ["replace", "--ay", "20", "--az", "30"],
-                "odmr": ["odmr", "--points", "11"]}[command]
-    escapes = []
+    lines = list(valid_csv(command)) if input_columns(command) else None
     for action in SUBCOMMANDS[command]._actions:
         if action.type not in FUZZ_VALUES:
             continue
-        flag = action.option_strings[0]
-        assert declared[action.dest].domain is not None, f"{command} {flag} has no domain"
+        assert declared[action.dest].domain is not None, f"{command} {action.dest} has no domain"
         for value in FUZZ_VALUES[action.type]:
-            out = tmp_path / "artefact"
-            if out.exists():
-                out.unlink()
-            try:
-                rc = main(base + [f"{flag}={value}", "--out", str(out)])
-            except Exception as exc:
-                escapes.append(f"{flag}={value}: {type(exc).__name__}: {exc}")
-                continue
-            if rc not in (0, 1, 2) or (rc == 2 and out.exists()) or (
-                    rc == 0 and not all(map(math.isfinite, _numbers(out.read_text())))):
-                escapes.append(f"{flag}={value}: exit {rc}")
-    capsys.readouterr()
-    assert not escapes
+            check_contract(Case(command, {**BASE_FLAGS[command], action.dest: value}, csv=lines))
 
 
 def test_negative_config_seed_exit_2(tmp_path, capsys):
@@ -714,14 +723,19 @@ def test_units_si_writes_the_same_values(tmp_path, command):
     out, si_out = tmp_path / "default", tmp_path / "si"
     assert main(argv + ["--out", str(out)]) == 0
     assert main(si_argv + ["--out", str(si_out)]) == 0
+    assert_same_in_si(command, out.read_text(), si_out.read_text())
+
+
+def assert_same_in_si(command, default, si):
+    """The artefact of a default run, and of the same run in SI units, agree."""
     if command in ("calibrate", "replace", "fit-nv"):
-        default, si = json.loads(out.read_text()), json.loads(si_out.read_text())
+        default, si = json.loads(default), json.loads(si)
         if command == "fit-nv":  # the note names the angle unit in use
             assert default.pop("notes").endswith(" angles reported in [0, 180) deg")
             assert si.pop("notes").endswith(" angles reported in [0, 3.141592654) rad")
         _assert_json_in_si(default, si)
     else:
-        _assert_csv_in_si(command, out.read_text(), si_out.read_text())
+        _assert_csv_in_si(command, default, si)
 
 
 def test_readme_lists_the_declared_artefact_columns():
