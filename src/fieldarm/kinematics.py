@@ -292,10 +292,14 @@ def ik_branch_array(dh: DHTable, targets) -> tuple[np.ndarray, np.ndarray]:
     sign = np.array([1.0, -1.0])
     s5 = sign * np.hypot(M[..., 0, 2], M[..., 1, 2])
     t5 = np.arctan2(s5, M[..., 2, 2])
-    # wrist singularity (q5 + offset = 0 or pi): only theta4 +- theta6 is
-    # fixed, so take q4 = 0
+    # wrist singularity (q5 + offset = 0 or pi, c5 = cos t5 = +-1): M fixes
+    # only q6 + c5 q4 = y (wrapped), so take q4 = c5 y / 2 and q6 = y / 2, both
+    # within pi / 2 of zero; q4 = 0 would put q6 past a limit for |y| near pi
+    c5 = M[..., 2, 2]
+    y = np.arctan2(M[..., 1, 0], M[..., 1, 1]) - c5 * off[3] - off[5]
+    y = np.arctan2(np.sin(y), np.cos(y))
     t4 = np.where(np.abs(s5) > 1e-12,
-                  np.arctan2(sign * M[..., 1, 2], sign * M[..., 0, 2]), off[3])
+                  np.arctan2(sign * M[..., 1, 2], sign * M[..., 0, 2]), off[3] + c5 * y / 2.0)
     c4, s4, c5 = np.cos(t4), np.sin(t4), np.cos(t5)
     # (Rz(t4) Ry(t5))^T M = Rz(theta6): its first column
     t6 = np.arctan2(-s4 * M[..., 0, 0] + c4 * M[..., 1, 0],

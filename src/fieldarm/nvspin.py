@@ -149,9 +149,22 @@ def characteristic_roots(D, Pi, beta, gamma_angle):
 
 
 def splitting_from_cubic(D, Pi, beta, gamma_angle):
-    """Resonance splitting f_plus - f_minus from the characteristic cubic."""
+    """Resonance splitting f_plus - f_minus from the characteristic cubic.
+
+    The upper two roots lie close together at low field, where Viete's
+    roots lose up to 2e-11 of their difference to rounding in the cubic's
+    constant term (a sum of terms of order D^3). So only the lowest root
+    y0 is taken from them, on the cubic shifted by D/3,
+    y^3 + D y^2 - (Pi^2 + beta^2) y - c with c = D (Pi^2 + beta^2 cos^2 gamma).
+    The other two follow from Vieta's relations, y1 + y2 = -D - y0 and
+    y1 y2 = c / y0: for D > 0, y0 <= -D/3 and c >= 0, so
+    (y2 - y1)^2 = (D + y0)^2 - 4 c / y0 is a sum of two terms >= 0.
+    """
     r = characteristic_roots(D, Pi, beta, gamma_angle)
-    return r[..., 2] - r[..., 1]
+    D, Pi, beta, gamma_angle = (np.asarray(v, dtype=float) for v in (D, Pi, beta, gamma_angle))
+    y0 = r[..., 0] - D / 3.0
+    c = D * (Pi * Pi + (beta * np.cos(gamma_angle)) ** 2)
+    return np.sqrt((D + y0) ** 2 - 4.0 * c / y0)
 
 
 def normalize_splittings(splittings, B_magnitudes):

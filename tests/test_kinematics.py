@@ -168,6 +168,9 @@ def test_ik_round_trip_on_fk_targets():
 @example(u=np.array([0.0, 0.0, 0.37890625, 0.0, 0.0, 0.0]))
 # the branch with q1 = q_min + pi has its exact q4 6.1e-7 rad below q_min
 @example(u=np.array([0.0, 0.796875, 0.681640625, 0.0, 0.83203125, 0.0]))
+# q5 = 0, a wrist singularity where q4 + q6 = -3.15 rad: q4 = 0 would put q6
+# past its limit, so the free angle is split between them
+@example(u=np.array([0.0, 0.0, 0.0, 0.046875, 0.5, 0.4375]))
 @settings(max_examples=200, deadline=None)
 def test_ik_branches_reach_fk_targets_within_limits(name, u):
     dh = BUNDLED_TABLES[name]

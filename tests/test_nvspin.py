@@ -69,6 +69,23 @@ def test_cubic_matches_eigensolver_at_bisecting_azimuth():
     assert worst < 1e-6
 
 
+def test_splitting_matches_eigensolver_to_rounding():
+    # The close pair's difference, where the unpolished Viete roots lose up
+    # to 1e-11 of it; eigvalsh's own rounding is about 2e-13 of it here.
+    rng = np.random.default_rng(1)
+    worst = 0.0
+    for _ in range(200):
+        D = rng.uniform(2.5e9, 3.2e9)
+        Pi = rng.uniform(0.5e6, 20e6)
+        B = rng.uniform(0.1e-3, 10e-3)
+        gamma_angle = rng.uniform(0.0, np.pi)
+        p = NVParams(D=D, Pi=Pi)
+        evals = np.sort(np.linalg.eigvalsh(hamiltonian(p, _field_nv(B, gamma_angle, np.pi / 4.0))))
+        nu = splitting_from_cubic(D, Pi, p.gamma_e * B, gamma_angle)
+        worst = max(worst, abs(nu - (evals[2] - evals[1])) / (evals[2] - evals[1]))
+    assert worst < 1e-12
+
+
 def test_cubic_broadcasts():
     roots = characteristic_roots(D_ANCHOR, PI_ANCHOR, np.linspace(0, 1e8, 5),
                                  np.linspace(0, np.pi, 5))
