@@ -245,12 +245,12 @@ def replace_forbidden_pose(forbidden: Pose, sample, spec: MagnetSpec, env, dh,
     if displacement_axis not in ("y", "z"):
         raise ValueError("displacement_axis must be 'y' or 'z'")
     sample = np.asarray(sample, dtype=float)
-    trees = build_trees(env)
+    tree = build_trees(env)
     seed = dh.home()
 
     def reachable(poses):  # from the running IK seed, then the last joints found
         nonlocal seed
-        results = feasibility_batch(poses, dh, env, seed, trees, [rng] * len(poses))
+        results = feasibility_batch(poses, dh, tree, seed, [rng] * len(poses))
         seed = next((r.joints for r in reversed(results) if r.joints is not None), seed)
         return [r.status is FeasibilityStatus.REACHABLE for r in results]
 

@@ -47,8 +47,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import __version__
-from .config import (FINITE, INDEX, MAX_REMANENCE_T, NON_NEGATIVE, POSITIVE, REQUIRED, Domain,
-                     RunConfig, config_from_dict, count, from_zero, load_config, up_to)
+from .config import (INDEX, MAX_REMANENCE_T, NON_NEGATIVE, REQUIRED, Domain, RunConfig, between,
+                     config_from_dict, count, load_config, up_to)
 from .errors import ConfigError, FieldArmError, InsufficientData, ParseError, UsageError
 from .kinematics import Pose, magnet_pose_for_field_direction, unit_normal
 from .magnetostatics import GAMMA_E_DEFAULT, MAX_DISTANCE_M, SCHEDULE_MAX_DISTANCE_M
@@ -136,23 +136,26 @@ GRID = (
 # the upper bounds lie far above any spin defect's and keep the values finite in Hz
 NV = (
     Flag("d_GHz", default=2.8704, domain=up_to(1000)),
-    Flag("pi_MHz", default=1.8515, domain=from_zero(1e6)),
+    Flag("pi_MHz", default=1.8515, domain=between(0, 1e6)),
     Flag("gamma_GHz_per_T", default=GAMMA_E_DEFAULT * 1e-9, domain=up_to(1000)),
 )
 NV_FIELD = Domain(f"in [-{MAX_REMANENCE_T:g}, {MAX_REMANENCE_T:g}] T",
                   lambda v: abs(v) <= MAX_REMANENCE_T)
 TARGET_FIELD = Domain(f"in (0, {MAX_REMANENCE_T:g}] T", lambda v: 0 < v <= MAX_REMANENCE_T)
-# up to --d-GHz's own ceiling
-ODMR_FREQUENCY = from_zero(1e6)
+# up to --d-GHz's own ceiling, as are fit-nv's resonance columns
+ODMR_FREQUENCY = between(0, 1e6)
+# an input CSV's cells, in the unit each column names, have the flags' bounds for their quantity
+ANGLE_COLUMN = between(-3600, 3600)
+FIELD_COLUMN = between(-MAX_REMANENCE_T * 1e3, MAX_REMANENCE_T * 1e3)
 CALIBRATION_CSV = Flag("input", str, REQUIRED, help="measurement CSV", columns=(
-    Flag("alpha_y_deg", domain=FINITE), Flag("alpha_z_deg", domain=FINITE),
-    Flag("mass_index", domain=INDEX), Flag("Bx_mT", domain=FINITE),
-    Flag("By_mT", domain=FINITE), Flag("Bz_mT", domain=FINITE)))
+    Flag("alpha_y_deg", domain=ANGLE_COLUMN), Flag("alpha_z_deg", domain=ANGLE_COLUMN),
+    Flag("mass_index", domain=INDEX), Flag("Bx_mT", domain=FIELD_COLUMN),
+    Flag("By_mT", domain=FIELD_COLUMN), Flag("Bz_mT", domain=FIELD_COLUMN)))
 TRAJECTORY_CSV = Flag("input", str, REQUIRED, help="trajectory CSV", columns=(
-    Flag("alpha_yB_deg", domain=FINITE), Flag("alpha_zB_deg", domain=FINITE),
-    Flag("f_minus_MHz", domain=POSITIVE),
-    Flag("f_plus_MHz", domain=POSITIVE, rule=Rule(">= f_minus_MHz")),
-    Flag("B_hall_mT", domain=POSITIVE)))
+    Flag("alpha_yB_deg", domain=ANGLE_COLUMN), Flag("alpha_zB_deg", domain=ANGLE_COLUMN),
+    Flag("f_minus_MHz", domain=up_to(1e6)),
+    Flag("f_plus_MHz", domain=up_to(1e6), rule=Rule(">= f_minus_MHz")),
+    Flag("B_hall_mT", domain=up_to(MAX_REMANENCE_T * 1e3))))
 
 
 def _fmt(x) -> str:
@@ -387,7 +390,8 @@ COMMANDS = {
         Flag("steps", int, REQUIRED, count(10_000)),
         Flag("ay", default=0.0, domain=ANGLE_FLAG, help="ray direction angle", unit="angle"),
         Flag("az", default=0.0, domain=ANGLE_FLAG, help="ray direction angle", unit="angle"),
-        Flag("resolution_m", default=0.0005, domain=up_to(SCHEDULE_MAX_DISTANCE_M)),
+        # no finer than the 1e-9 m to which amplitude_schedule bisects
+        Flag("resolution_m", default=0.0005, domain=between(1e-9, SCHEDULE_MAX_DISTANCE_M)),
     ), ("target_{field}", "distance_m", "achieved_{field}", "error_{field}", "error_bound_{field}")),
     "partition": Command(cmd_partition, "classify scan poses as reachable/forbidden", GRID,
                          ("alpha_y_{angle}", "alpha_z_{angle}", "status", "order_index")),
@@ -396,7 +400,7 @@ COMMANDS = {
         Flag("az", default=REQUIRED, domain=ANGLE_FLAG, help="forbidden pose angle", unit="angle"),
         STANDOFF,
         Flag("axis", ("y", "z"), "y"),
-        Flag("step_m", default=0.005, domain=POSITIVE),
+        Flag("step_m", default=0.005, domain=up_to(MAX_DISTANCE_M)),
         Flag("max_steps", int, 40, count(10_000)),
     )),
     "odmr": Command(cmd_odmr, "synthetic ODMR spectrum CSV", NV + (

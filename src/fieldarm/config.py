@@ -36,8 +36,6 @@ class Domain(NamedTuple):
     ok: Callable[[float], bool]
 
 
-FINITE = Domain("finite", math.isfinite)
-POSITIVE = Domain("> 0", lambda v: 0 < v < math.inf)
 NON_NEGATIVE = Domain(">= 0", lambda v: 0 <= v < math.inf)
 INDEX = Domain("an integer >= 0", lambda v: 0 <= v < math.inf and v % 1 == 0)
 
@@ -46,8 +44,8 @@ def up_to(hi):
     return Domain(f"in (0, {hi:g}]", lambda v: 0 < v <= hi)
 
 
-def from_zero(hi):
-    return Domain(f"in [0, {hi:g}]", lambda v: 0 <= v <= hi)
+def between(lo, hi):
+    return Domain(f"in [{lo:g}, {hi:g}]", lambda v: lo <= v <= hi)
 
 
 def count(maximum):
@@ -56,8 +54,7 @@ def count(maximum):
 
 
 # a length beyond the magnitude search's reach is a typo, not a robot cell
-LENGTH = Domain(f"in [-{MAX_DISTANCE_M:g}, {MAX_DISTANCE_M:g}]",
-                lambda v: abs(v) <= MAX_DISTANCE_M)
+LENGTH = between(-MAX_DISTANCE_M, MAX_DISTANCE_M)
 # one turn either way holds every joint limit, offset and Euler angle
 ANGLE = Domain("in [-2pi, 2pi]", lambda v: abs(v) <= 2 * math.pi)
 # capsule radii and magnet dimensions: a metre is beyond any bench-top arm or magnet
@@ -89,12 +86,12 @@ JOINT = [
 ]
 DH = [
     Key("joints", None, JOINT, length=N_JOINTS),
-    Key("tool_offset_m", "tool_offset", from_zero(MAX_DISTANCE_M), 0.0),  # along flange x
+    Key("tool_offset_m", "tool_offset", between(0, MAX_DISTANCE_M), 0.0),  # along flange x
     Key("link_radii_m", "link_radii", SIZE, None, N_JOINTS + 1),
 ]
 MAGNET = [
     Key("outer_radius_m", "outer_radius", SIZE),
-    Key("inner_radius_m", "inner_radius", from_zero(1.0), 0.0),  # 0: a solid cylinder
+    Key("inner_radius_m", "inner_radius", between(0, 1.0), 0.0),  # 0: a solid cylinder
     Key("length_m", "length", SIZE),
     Key("remanence_T", "remanence", up_to(MAX_REMANENCE_T), None),  # header: magnetisation
     Key("magnetisation_A_per_m", "magnetisation", up_to(MAX_REMANENCE_T / MU0), None),

@@ -4,13 +4,13 @@ load_mesh reads an OFF or ASCII STL file as (line number, tokens) rows, one
 per non-blank line; one converter, _convert, turns the tokens of the rows
 the format's layout picks into numbers and names the line of a bad one.
 The robot body is approximated by one capsule per link (spanning consecutive
-joint-frame origins) plus one for the magnet tool. Each mesh is stored flat:
-its triangles and their axis-aligned bounding boxes (AABBs). A query tests
-every capsule's AABB, grown by its radius, against every triangle's in one
-array operation (the broad phase), then runs Ericson's exact
-segment-triangle distance (Real-Time Collision Detection, 2005, ch. 5) on
-the surviving pairs only. Feasibility is decided for a batch of poses at
-once: every IK branch of every pose, every capsule of every branch.
+joint-frame origins) plus one for the magnet tool. The obstacle is one flat
+set, build_trees(env): every mesh's triangles, in order, and their axis-aligned
+bounding boxes (AABBs). A query tests every capsule's AABB, grown by its
+radius, against every triangle's in one array operation (the broad phase),
+then runs Ericson's exact segment-triangle distance (Real-Time Collision
+Detection, 2005, ch. 5) on the surviving pairs only. Feasibility is decided
+for a batch of poses at once: every IK branch of every pose, every capsule.
 """
 
 import enum
@@ -248,20 +248,21 @@ def segment_triangle_distance(p, q, a, b, c):
 # flat AABB broad phase
 
 class AabbTree:
-    """Axis-aligned bounding boxes of one mesh's triangles, stored flat.
-
-    There is no hierarchy: one array comparison of every query box against
-    every triangle box costs less in numpy than walking a tree per query.
+    """Every mesh's triangles, in order, as one flat (M, 3, 3) set (M = 0 for
+    no mesh) with their axis-aligned bounding boxes. There is no hierarchy:
+    one array comparison of every query box against every triangle box costs
+    less in numpy than walking a tree per query.
     """
 
-    def __init__(self, mesh: TriangleMesh):
-        self.triangles = mesh.vertices[mesh.triangles]   # (M, 3, 3)
+    def __init__(self, *meshes: TriangleMesh):
+        self.triangles = np.concatenate([np.empty((0, 3, 3))]
+                                        + [m.vertices[m.triangles] for m in meshes])
         # (3, M), one contiguous row per axis for the broad phase's comparisons
         self.lo = np.ascontiguousarray(self.triangles.min(axis=1).T)
         self.hi = np.ascontiguousarray(self.triangles.max(axis=1).T)
 
     def segment_distance(self, p, q, upper_bound=np.inf):
-        """Min distance from each segment pq to the mesh, capped at upper_bound.
+        """Min distance from each segment pq to the triangles, capped at upper_bound.
 
         p, q (..., 3) and upper_bound (...) broadcast; returns (...). A
         triangle whose box is farther than the bound from the segment's box
@@ -312,8 +313,9 @@ class PoseFeasibility:
             raise ValueError("joints must be present iff IK succeeded")
 
 
-def build_trees(env: list[TriangleMesh]) -> list[AabbTree]:
-    return [AabbTree(m) for m in env]
+def build_trees(env: list[TriangleMesh]) -> AabbTree:
+    """The collision index of an environment: one AabbTree over every mesh."""
+    return AabbTree(*env)
 
 
 def _capsules(dh: DHTable, q) -> np.ndarray:
@@ -323,16 +325,12 @@ def _capsules(dh: DHTable, q) -> np.ndarray:
     return np.stack([origins[..., :-1, :], origins[..., 1:, :]], axis=-2)
 
 
-def _capsule_hits(segments, radii, trees) -> np.ndarray:
-    """Whether each capsule (axes (K, 2, 3), radii (K,)) meets some mesh."""
-    hit = np.zeros(len(radii), dtype=bool)
-    for tree in trees:
-        d = tree.segment_distance(segments[:, 0], segments[:, 1], radii * 1.0000001)
-        hit |= d - radii <= 0.0
-    return hit
+def _capsule_hits(segments, radii, tree) -> np.ndarray:
+    """Whether each capsule (axes (K, 2, 3), radii (K,)) meets the index's triangles."""
+    return tree.segment_distance(segments[:, 0], segments[:, 1], radii * 1.0000001) - radii <= 0.0
 
 
-def check_collision(dh: DHTable, joints, env, trees=None) -> CollisionResult:
+def check_collision(dh: DHTable, joints, env) -> CollisionResult:
     """Capsule-vs-mesh collision query for one joint configuration.
 
     min_distance is the smallest gap between a capsule surface and a mesh,
@@ -341,19 +339,17 @@ def check_collision(dh: DHTable, joints, env, trees=None) -> CollisionResult:
     dh.check_limits(joints)
     if not env:
         return CollisionResult(clear=True, min_distance=None)
-    if trees is None:
-        trees = build_trees(env)
     axes = _capsules(dh, joints)
-    gap = min(float(np.min(tree.segment_distance(axes[:, 0], axes[:, 1]) - dh.link_radii))
-              for tree in trees)
+    gap = float(np.min(build_trees(env).segment_distance(axes[:, 0], axes[:, 1])
+                       - dh.link_radii))
     if gap <= 0.0:
         return CollisionResult(clear=False, min_distance=0.0)
     return CollisionResult(clear=True, min_distance=gap)
 
 
-def _branch_verdicts(poses, dh, trees):
+def _branch_verdicts(poses, dh, tree):
     """IK branches (N, 8, 6) of a chunk of poses, the mask of those that exist,
-    and the mask of those whose every capsule clears the environment.
+    and the mask of those whose every capsule clears the collision index.
 
     A capsule that several branches of one pose share (the wrist and tool
     follow from the pose alone; wrist flips share the arm) is checked once:
@@ -361,7 +357,7 @@ def _branch_verdicts(poses, dh, trees):
     """
     q, ok = ik_branch_array(dh, np.array([pose.matrix() for pose in poses]))
     clear = ok.copy()
-    if not trees or not ok.any():
+    if not len(tree.triangles) or not ok.any():
         return q, ok, clear
     pose_of, _ = np.nonzero(ok)
     axes = _capsules(dh, q[ok]).reshape(-1, 2, 3)
@@ -370,7 +366,7 @@ def _branch_verdicts(poses, dh, trees):
                             np.round(axes.reshape(-1, 6), 9)])
     _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     radii = np.tile(dh.link_radii, len(pose_of))
-    hits = _capsule_hits(axes[first], radii[first], trees)[inverse.reshape(-1)]
+    hits = _capsule_hits(axes[first], radii[first], tree)[inverse.reshape(-1)]
     clear[ok] = ~hits.reshape(-1, n_links).any(axis=1)
     return q, ok, clear
 
@@ -389,8 +385,8 @@ def _verdict(pose, pairs) -> PoseFeasibility:
     return PoseFeasibility(pose, FeasibilityStatus.COLLISION, first)
 
 
-def feasibility_batch(poses, dh, env, seed, trees=None, rngs=None) -> list[PoseFeasibility]:
-    """IK then collision check for a sequence of poses, in input order.
+def feasibility_batch(poses, dh, tree, seed, rngs) -> list[PoseFeasibility]:
+    """IK, then a check against the collision index `tree`, for poses in input order.
 
     Each pose gets the _verdict of its ik_solutions from the running seed,
     which starts at `seed` and becomes each pose's joints in turn, mirroring
@@ -400,23 +396,19 @@ def feasibility_batch(poses, dh, env, seed, trees=None, rngs=None) -> list[PoseF
     table runs the seeded DLS search pose by pose, pose i drawing from
     rngs[i], and checks each solution only when the ones before it collide.
     """
-    if trees is None:
-        trees = build_trees(env)
-    if rngs is None:
-        rngs = [None] * len(poses)
     seed = np.asarray(seed, dtype=float)
     spherical = has_spherical_wrist(dh)
     out = []
     for start in range(0, len(poses), POSE_CHUNK):
         chunk = poses[start:start + POSE_CHUNK]
         if spherical:
-            q, ok, clear = _branch_verdicts(chunk, dh, trees)
+            q, ok, clear = _branch_verdicts(chunk, dh, tree)
         for i, pose in enumerate(chunk):
             if spherical:
                 branches, free = q[i][ok[i]], clear[i][ok[i]]
                 pairs = ((branches[j], free[j]) for j in nearest_first(branches, seed))
             else:
-                pairs = ((s, not _capsule_hits(_capsules(dh, s), dh.link_radii, trees).any())
+                pairs = ((s, not _capsule_hits(_capsules(dh, s), dh.link_radii, tree).any())
                          for s in ik_solutions(dh, pose, seed, rngs[start + i]))
             result = _verdict(pose, pairs)
             if result.joints is not None:
@@ -425,9 +417,9 @@ def feasibility_batch(poses, dh, env, seed, trees=None, rngs=None) -> list[PoseF
     return out
 
 
-def pose_feasibility(pose, dh, env, seed, trees=None, rng=None) -> PoseFeasibility:
-    """feasibility_batch for one pose."""
-    return feasibility_batch([pose], dh, env, seed, trees, [rng])[0]
+def pose_feasibility(pose, dh, env, seed, rng=None) -> PoseFeasibility:
+    """feasibility_batch for one pose, against the meshes of `env`."""
+    return feasibility_batch([pose], dh, build_trees(env), seed, [rng])[0]
 
 
 def partition_pose_dictionary(poses, dh, env, seed=None, random_seed=0) -> list[PoseFeasibility]:
@@ -441,5 +433,5 @@ def partition_pose_dictionary(poses, dh, env, seed=None, random_seed=0) -> list[
     poses = list(poses)
     if seed is None:
         seed = dh.home()
-    return feasibility_batch(poses, dh, env, seed,
-                             rngs=[[random_seed, i] for i in range(len(poses))])
+    return feasibility_batch(poses, dh, build_trees(env), seed,
+                             [[random_seed, i] for i in range(len(poses))])

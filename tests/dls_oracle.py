@@ -48,9 +48,10 @@ def _inverse_kinematics(dh, target, seed, rng):
     return q, tried
 
 
-def pose_feasibility(pose, dh, trees, seed, rng) -> Search:
-    """Reachable with the first solve that clears `trees`, Collision with the
-    first solve if every solve collides, IkFailure if the first fails."""
+def pose_feasibility(pose, dh, tree, seed, rng) -> Search:
+    """Reachable with the first solve that clears the collision index `tree`
+    (build_trees), Collision with the first solve if every solve collides,
+    IkFailure if the first fails."""
     if not _in_reach(dh, pose):
         return Search(PoseFeasibility(pose, FeasibilityStatus.IK_FAILURE, None), 0, 0)
     found = []
@@ -61,7 +62,7 @@ def pose_feasibility(pose, dh, trees, seed, rng) -> Search:
         if q is None:
             break
         found.append(q)
-        if not trees or not _capsule_hits(_capsules(dh, q), dh.link_radii, trees).any():
+        if not _capsule_hits(_capsules(dh, q), dh.link_radii, tree).any():
             return Search(PoseFeasibility(pose, FeasibilityStatus.REACHABLE, q), len(found),
                           solves)
         seed = rng.uniform(dh.q_min, dh.q_max)
@@ -70,11 +71,11 @@ def pose_feasibility(pose, dh, trees, seed, rng) -> Search:
     return Search(PoseFeasibility(pose, FeasibilityStatus.COLLISION, found[0]), len(found), solves)
 
 
-def partition_pose_dictionary(poses, dh, trees, seed, random_seed) -> list[Search]:
+def partition_pose_dictionary(poses, dh, tree, seed, random_seed) -> list[Search]:
     """The pose-by-pose partition with a running seed."""
     out = []
     for i, pose in enumerate(poses):
-        out.append(pose_feasibility(pose, dh, trees, seed, np.random.default_rng([random_seed, i])))
+        out.append(pose_feasibility(pose, dh, tree, seed, np.random.default_rng([random_seed, i])))
         if out[-1].result.joints is not None:
             seed = out[-1].result.joints
     return out

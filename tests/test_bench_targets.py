@@ -10,7 +10,7 @@ import os
 import pytest
 
 from fieldarm.config import load_config
-from fieldarm.environment import build_trees, pose_feasibility
+from fieldarm.environment import pose_feasibility
 from fieldarm.kinematics import magnet_pose_for_field_direction
 
 from conftest import CONFIG_DIR, STANDOFF
@@ -41,6 +41,5 @@ def test_pose_feasibility_result_has_a_status_value():
     # the tracer counts Reachable results through result.status.value
     cfg = load_config(os.path.join(CONFIG_DIR, "walled.yaml"))
     pose = magnet_pose_for_field_direction(cfg.sample, 0.6, 0.9, STANDOFF)
-    result = pose_feasibility(pose, cfg.dh, cfg.environment, cfg.dh.home(),
-                              build_trees(cfg.environment))
+    result = pose_feasibility(pose, cfg.dh, cfg.environment, cfg.dh.home())
     assert result.status.value in ("Reachable", "IkFailure", "Collision")

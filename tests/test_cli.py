@@ -154,6 +154,46 @@ def test_partition_rows_do_not_depend_on_seed(tmp_path, walled_config_path):
     assert rows[0] == rows[1]
 
 
+def _split_walled(tmp_path):
+    """configs/walled.yaml with its wall as two meshes, one triangle each, in the wall's order."""
+    with open(WALL_OFF) as fh:
+        header, counts, *rows = fh.read().splitlines()
+    n = int(counts.split()[0])
+    with open(WALLED) as fh:
+        data = yaml.safe_load(fh)
+    data["environment"] = []
+    for k, face in enumerate(rows[n:]):
+        (tmp_path / f"wall-{k}.off").write_text("\n".join([header, f"{n} 1 0", *rows[:n], face]))
+        data["environment"].append({"mesh": f"wall-{k}.off"})
+    assert len(data["environment"]) == 2
+    return _written(tmp_path / "split.yaml", yaml.safe_dump(data).encode())
+
+
+@pytest.mark.parametrize("command", [
+    ["partition", "--ay-start", "30", "--ay-stop", "85", "--ay-steps", "6",
+     "--az-start", "5", "--az-stop", "85", "--az-steps", "6"],
+    ["replace", "--ay", "30", "--az", "53", "--axis", "y"],
+], ids=["partition", "replace"])
+def test_wall_split_into_two_meshes_writes_the_same_artefact(tmp_path, command):
+    """Two meshes that hold the wall's two triangles plan as the one-mesh wall
+    does: the artefacts differ only in the configuration they embed."""
+    texts = []
+    for config in (WALLED, _split_walled(tmp_path)):
+        out = tmp_path / "artefact"
+        assert main(["--config", config] + command + ["--out", str(out)]) == 0
+        texts.append(out.read_text())
+    if command[0] == "partition":
+        one, two = ([ln for ln in text.splitlines() if not ln.startswith("# config ")]
+                    for text in texts)
+        rows = [ln.split(",") for ln in one if not ln.startswith("#")]
+        assert {"Reachable", "Collision"} <= {row[rows[0].index("status")] for row in rows[1:]}
+    else:
+        one, two = ({k: v for k, v in json.loads(text).items() if k != "config"}
+                    for text in texts)
+        assert not one["identity"]
+    assert one == two
+
+
 def test_replace_identity_without_environment(tmp_path):
     out = tmp_path / "plan.json"
     rc = main(["replace", "--ay", "20", "--az", "30", "--out", str(out)])
@@ -306,6 +346,9 @@ CALIBRATION = "<calibration csv>"  # the test writes a valid measurement CSV in 
     ["schedule", "--b-start=0", "--b-stop", "10", "--steps", "3"],
     ["schedule", "--b-start=1e300", "--b-stop", "10", "--steps", "3"],
     ["--units", "si", "schedule", "--b-start", "0.001", "--b-stop=10.000001", "--steps", "3"],
+    SCHEDULE + ["--resolution-m=1e-300"],
+    SCHEDULE + ["--resolution-m=5e-324"],
+    ["--config", WALLED, "replace", "--ay", "30", "--az", "53", "--step-m=1e300"],
 ], ids=["scan-steps-0", "schedule-steps-0", "odmr-points-0", "schedule-resolution-0",
         "odmr-linewidth-0", "scan-standoff-nan", "schedule-ay-nan", "schedule-b-stop-inf",
         "odmr-bz-nan", "scan-standoff-in-magnet", "replace-standoff-in-magnet",
@@ -320,7 +363,8 @@ CALIBRATION = "<calibration csv>"  # the test writes a valid measurement CSV in 
         "odmr-window-1e300", "odmr-window-backwards", "odmr-window-empty",
         "odmr-f-start-negative", "odmr-f-stop-1e303", "scan-ay-1e17", "replace-az-3601",
         "schedule-b-start-negative", "schedule-b-start-0", "schedule-b-start-1e300",
-        "schedule-b-stop-past-10-T-si"])
+        "schedule-b-stop-past-10-T-si", "schedule-resolution-1e-300",
+        "schedule-resolution-5e-324", "replace-step-1e300"])
 def test_out_of_range_argument_exit_2(tmp_path, capsys, argv):
     if CALIBRATION in argv:
         _write_calibration_csv(tmp_path / "cal.csv")
@@ -379,8 +423,15 @@ def _swap_resonances(rows):
     ("calibrate", lambda rows: rows[:1]),
     ("fit-nv", _swap_resonances),
     ("fit-nv", _set_cell("f_plus_MHz", "nan")),
+    ("calibrate", _set_cell("Bx_mT", "1e300")),
+    ("calibrate", _set_cell("alpha_y_deg", "1e300")),
+    ("fit-nv", _set_cell("f_plus_MHz", "1e308")),
+    ("fit-nv", _set_cell("alpha_yB_deg", "1e300")),
+    ("fit-nv", _set_cell("B_hall_mT", "1e300")),
 ], ids=["calibrate-field-nan", "calibrate-mass-index-fraction", "calibrate-header-only",
-        "fit-nv-swapped-pair", "fit-nv-frequency-nan"])
+        "fit-nv-swapped-pair", "fit-nv-frequency-nan", "calibrate-field-1e300",
+        "calibrate-angle-1e300", "fit-nv-frequency-1e308", "fit-nv-angle-1e300",
+        "fit-nv-hall-1e300"])
 def test_out_of_domain_csv_exit_2(tmp_path, capsys, command, edit):
     path = tmp_path / "input.csv"
     _write_input_csv(command, path)
@@ -393,6 +444,39 @@ def test_out_of_domain_csv_exit_2(tmp_path, capsys, command, edit):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, cells", [
+    ("calibrate", {"alpha_y_deg": "3600", "alpha_z_deg": "-3600"}),
+    ("calibrate", {"Bx_mT": "10000", "Bz_mT": "-10000"}),
+    ("fit-nv", {"alpha_yB_deg": "3600", "alpha_zB_deg": "-3600"}),
+    ("fit-nv", {"f_minus_MHz": "1000000", "f_plus_MHz": "1000000"}),
+    ("fit-nv", {"B_hall_mT": "10000"}),
+], ids=["calibrate-angles", "calibrate-fields", "fit-nv-angles", "fit-nv-frequencies",
+        "fit-nv-hall"])
+def test_csv_cells_at_their_domain_edges_exit_0(tmp_path, command, cells):
+    path = tmp_path / "input.csv"
+    _write_input_csv(command, path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    for column, value in cells.items():
+        rows = _set_cell(column, value)(rows)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    out = tmp_path / "artefact.json"
+    assert main([command, "--input", str(path), "--out", str(out)]) == 0
+    assert out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    SCHEDULE + ["--resolution-m=1e-9"],
+    SCHEDULE + ["--resolution-m=0.6"],
+    ["--config", DEFAULT, "replace", "--ay", "30", "--az", "53", "--step-m=10"],
+], ids=["schedule-resolution-1e-9", "schedule-resolution-0.6", "replace-step-10"])
+def test_length_flags_at_their_edges_exit_0(tmp_path, argv):
+    out = tmp_path / "artefact"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.exists()
 
 
 @pytest.mark.parametrize("command", ["calibrate", "fit-nv"])

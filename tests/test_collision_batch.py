@@ -14,6 +14,7 @@ from fieldarm.config import load_config
 from fieldarm.environment import (
     AabbTree,
     TriangleMesh,
+    _capsule_hits,
     build_trees,
     partition_pose_dictionary,
     segment_triangle_distance,
@@ -36,11 +37,13 @@ def _cube(centre, half):
 
 # the tool-cube sits where the magnet capsule of poses near (40, 30) deg
 # passes, clear of the arm: only the last capsule decides those poses
+TOOL_CUBE = _cube(WALLED.sample - 0.15 * unit_normal(math.radians(40.0), math.radians(30.0)),
+                  0.012)
 ENVIRONMENTS = {
     "walled": WALLED.environment,
     "tessellated": [_tessellated(WALLED.environment[0], 6)],
-    "tool-cube": [_cube(WALLED.sample - 0.15 * unit_normal(math.radians(40.0),
-                                                           math.radians(30.0)), 0.012)],
+    "tool-cube": [TOOL_CUBE],
+    "wall-and-cube": WALLED.environment + [TOOL_CUBE],
 }
 
 COORD = st.floats(-1.0, 1.0, allow_nan=False)
@@ -156,6 +159,41 @@ def test_segment_distance_is_the_capped_brute_force(seed, bound):
         assert abs(got[i] - min(bound, brute)) <= 1e-12
 
 
+def _random_mesh(rng, name):
+    """Up to 12 random triangles; none at all now and then."""
+    verts = rng.uniform(-1, 1, size=(12, 3))
+    tris = [t for t in rng.integers(0, 12, size=(rng.integers(0, 13), 3)) if len(set(t)) == 3]
+    return TriangleMesh(verts, np.reshape(tris, (-1, 3)), name)
+
+
+@given(seed=st.integers(0, 2**32 - 1), meshes=st.integers(1, 3),
+       bound=st.floats(0.0, 1.5) | st.just(math.inf),
+       cells=st.sampled_from([50, 1 << 20]), pairs=st.sampled_from([16, 1 << 13]))
+@settings(max_examples=40, deadline=None)
+def test_merged_index_is_the_minimum_over_its_meshes(seed, meshes, bound, cells, pairs):
+    """build_trees(env) gives, bit for bit, the elementwise minimum of each
+    mesh's own AabbTree, whatever its work sizes; a capsule hits the merged
+    index exactly when it hits some mesh."""
+    rng = np.random.default_rng(seed)
+    env = [_random_mesh(rng, f"mesh-{k}") for k in range(meshes)]
+    segments = rng.uniform(-2, 2, size=(20, 2, 3))
+    segments[:3, 1] = segments[:3, 0]  # point segments too
+    p, q = segments[:, 0], segments[:, 1]
+    radii = rng.uniform(0.01, 0.5, size=20)
+    per_mesh = [AabbTree(m) for m in env]
+    want = np.minimum.reduce([t.segment_distance(p, q, bound) for t in per_mesh])
+    hits = np.logical_or.reduce([_capsule_hits(segments, radii, t) for t in per_mesh])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fieldarm.environment, "BROAD_PHASE_CELLS", cells)
+        patch.setattr(fieldarm.environment, "PAIR_CHUNK", pairs)
+        tree = build_trees(env)
+        got = tree.segment_distance(p, q, bound)
+        got_hits = _capsule_hits(segments, radii, tree)
+    assert len(tree.triangles) == sum(len(m.triangles) for m in env)
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(got_hits, hits)
+
+
 def _poses(dh, angles, joints):
     poses = [magnet_pose_for_field_direction(WALLED.sample, math.radians(ay), math.radians(az),
                                              STANDOFF) for ay, az in angles]
@@ -175,7 +213,7 @@ def test_batch_feasibility_is_the_per_pose_loop(name, angles, joints, start):
     Chunks of 5 poses carry the running seed across chunk boundaries.
     """
     dh, env = WALLED.dh, ENVIRONMENTS[name]
-    triangles = build_trees(env)[0].triangles
+    triangles = build_trees(env).triangles
     poses = _poses(dh, angles, joints)
     seed = dh.q_min + start * (dh.q_max - dh.q_min)
     with pytest.MonkeyPatch.context() as patch:

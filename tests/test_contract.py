@@ -69,12 +69,9 @@ def values_for(flag, units):
                 st.sampled_from([str(v) for v in past]))
     out = cli.UNITS[units][flag.unit].out if flag.unit else 1.0
     ends = [e * out for e in edges(flag.domain)]
-    assert ends or flag.domain is config.FINITE, flag.domain.text  # its text names its edges
-    if len(ends) > 1:
-        lo, hi = ends[0], ends[-1]
-    else:  # one-sided, such as "> 0": ten above the edge; finite: ten either side of 0
-        lo = ends[0] if ends else -10.0
-        hi = lo + (10.0 if ends else 20.0)
+    assert ends, flag.domain.text  # its text names its edges
+    lo = ends[0]
+    hi = ends[-1] if len(ends) > 1 else lo + 10.0  # one-sided, such as ">= 0": ten above
     inside = [flag.default] if isinstance(flag.default, float) else []
     inside = st.sampled_from(inside + [1.0, 0.5]) | st.floats(lo, hi).filter(
         lambda v: flag.domain.ok(v / out))

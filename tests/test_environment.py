@@ -241,6 +241,22 @@ def test_check_collision_detects_hit(dh):
     assert result.min_distance == 0.0
 
 
+def test_check_collision_is_the_minimum_over_the_meshes(tmp_path, arm, wall):
+    path = tmp_path / "cube.off"
+    path.write_text(UNIT_CUBE_OFF)
+    cube = load_mesh(path).transformed(0.1 * np.eye(3), [0.0, 0.1, 0.3])  # a 10 cm cube
+    rng = np.random.default_rng(4)
+    verdicts = set()
+    for _ in range(40):
+        q = rng.uniform(arm.q_min * 0.6, arm.q_max * 0.6)
+        both = check_collision(arm, q, [wall, cube])
+        each = [check_collision(arm, q, [mesh]) for mesh in (wall, cube)]
+        assert both.min_distance == min(r.min_distance for r in each)
+        assert both.clear == all(r.clear for r in each)
+        verdicts.add(tuple(r.clear for r in each))
+    assert verdicts == {(True, True), (False, True), (True, False), (False, False)}
+
+
 def test_collision_monotone_under_shrinking_radii(dh):
     plane = TriangleMesh(
         [[-5, -5, -0.06], [5, -5, -0.06], [5, 5, -0.06], [-5, 5, -0.06]],
@@ -318,18 +334,17 @@ ENVIRONMENTS = {"walled": WALLED.environment,
 @settings(max_examples=40, deadline=None)
 def test_pose_feasibility_is_brute_force_over_branches(name, ay, az, u):
     dh, env = WALLED.dh, ENVIRONMENTS[name]
-    trees = build_trees(env)
     pose = magnet_pose_for_field_direction(WALLED.sample, math.radians(ay), math.radians(az),
                                            STANDOFF)
     seed = dh.q_min + u * (dh.q_max - dh.q_min)
-    result = pose_feasibility(pose, dh, env, seed, trees)
+    result = pose_feasibility(pose, dh, env, seed)
     branches = ik_branches(dh, pose)
-    clear = [check_collision(dh, q, env, trees).clear for q in branches]
+    clear = [check_collision(dh, q, env).clear for q in branches]
     if not branches:
         assert result.status is FeasibilityStatus.IK_FAILURE
     elif any(clear):
         assert result.status is FeasibilityStatus.REACHABLE
-        assert check_collision(dh, result.joints, env, trees).clear
+        assert check_collision(dh, result.joints, env).clear
     else:
         assert result.status is FeasibilityStatus.COLLISION
     if branches:
