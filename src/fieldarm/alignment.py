@@ -171,13 +171,33 @@ def _ray_magnitude(spec: MagnetSpec, sample, ray, axis):
     return magnitude
 
 
+def _bisect_held(magnitude, targets, lo, hi, tol):
+    """bisect_decreasing, once one magnitude call at both ends shows that each
+    bracket [lo, hi] holds its target; else TargetUnreachable for the first.
+
+    Both magnitude searches assume that |B| falls along the ray beyond the
+    clearance radius, so a bracket holds the targets in [|B|(hi), |B|(lo)].
+    A thin wide-bore ring breaks that: its on-axis |B| still rises there.
+    """
+    targets = np.atleast_1d(np.asarray(targets, dtype=float))
+    B_hi, B_lo = (np.broadcast_to(B, targets.shape) for B in magnitude(np.array([lo, hi])))
+    unreachable = ~((targets >= B_lo) & (targets <= B_hi))
+    if np.any(unreachable):
+        i = np.argmax(unreachable)
+        raise TargetUnreachable(
+            f"target {targets[i]:.4e} T outside achievable [{B_lo[i]:.4e}, {B_hi[i]:.4e}] T"
+        )
+    return bisect_decreasing(magnitude, targets, np.broadcast_to(lo, targets.shape),
+                             np.broadcast_to(hi, targets.shape), tol)
+
+
 def amplitude_schedule(targets, spec: MagnetSpec, direction, sample,
                        resolution=0.0005) -> AmplitudeSchedule:
     """Pick magnet distances realising each target amplitude on a fixed ray.
 
-    Inverts the monotone |B|(r) curve by bisection (1e-9 m), run on all
-    targets at once by bisect_decreasing, snaps each distance to the robot
-    resolution grid, and reports the achieved field and signed error. The
+    Inverts the monotone |B|(r) curve on [r_min, SCHEDULE_MAX_DISTANCE_M] by
+    _bisect_held to 1e-9 m, snaps each distance to the robot resolution
+    grid, and reports the achieved field and signed error. The
     error bound is the worst case over the snap window: with h = resolution / 2,
     max(|B|(max(r_min, r - h)) - t, t - |B|(r + h)), which |error| never
     exceeds because |B|(r) falls monotonically.
@@ -189,15 +209,7 @@ def amplitude_schedule(targets, spec: MagnetSpec, direction, sample,
     r_min = spec.length / 2.0 + spec.outer_radius  # just clear of the magnet body
     n = unit_normal(*angles_for_direction(direction))
     magnitude = _ray_magnitude(spec, sample, n, n)
-    B_hi, B_lo = magnitude([r_min, SCHEDULE_MAX_DISTANCE_M])
-    unreachable = ~((targets >= B_lo) & (targets <= B_hi))
-    if np.any(unreachable):
-        t = targets[np.argmax(unreachable)]
-        raise TargetUnreachable(
-            f"target {t:.4e} T outside achievable [{B_lo:.4e}, {B_hi:.4e}] T"
-        )
-    lo, hi = bisect_decreasing(magnitude, targets, np.full_like(targets, r_min),
-                               np.full_like(targets, SCHEDULE_MAX_DISTANCE_M), 1e-9)
+    lo, hi = _bisect_held(magnitude, targets, r_min, SCHEDULE_MAX_DISTANCE_M, 1e-9)
     r_exact = (lo + hi) / 2.0
     distances = np.maximum(r_min, quantize_position(r_exact, resolution))
     h = resolution / 2.0
@@ -230,9 +242,10 @@ def replace_forbidden_pose(forbidden: Pose, sample, spec: MagnetSpec, env, dh,
     (ii) translate the magnet centre along the chosen world axis until the
     pose is reachable; (iii) re-orient the magnet along the inverse-dipole
     moment for the new displacement so the field direction is recovered;
-    (iv) slide the magnet along the magnet-sample ray (cube-root initial
-    guess, then bisect_decreasing on the cylinder model) to recover the
-    magnitude.
+    (iv) slide the magnet along the magnet-sample ray to recover the
+    magnitude: _bisect_held on the cylinder model, in a bracket within a
+    factor of two of the dipole (cube-root) estimate, widened by 1.5 where
+    that misses; a target it cannot hold raises TargetUnreachable.
     A pose counts as reachable when feasibility_batch says so; the IK seed
     starts at home and `rng` drives its DLS fallback. The displacement
     candidates, in (step, sign) order, are checked REPLACE_CHUNK at a time;
@@ -280,13 +293,12 @@ def replace_forbidden_pose(forbidden: Pose, sample, spec: MagnetSpec, env, dh,
         magnitude = _ray_magnitude(spec, sample, r_hat, n)
         B_rot = cylinder_field(spec, rotated.position, n, sample)
         r_guess = r0 * (np.linalg.norm(B_rot) / target_mag) ** (1.0 / 3.0)
-        lo = max(r_guess / 2.0, r_clear)
-        hi = r_guess * 2.0
+        lo, hi = max(r_guess / 2.0, r_clear), r_guess * 2.0
         while magnitude(hi) > target_mag and hi < MAX_DISTANCE_M:
             hi *= 1.5
         while magnitude(lo) < target_mag and lo / 1.5 > r_clear:
             lo = max(lo / 1.5, r_clear)
-        (lo,), (hi,) = bisect_decreasing(magnitude, target_mag, [lo], [hi], MAGNITUDE_TOL_M)
+        (lo,), (hi,) = _bisect_held(magnitude, target_mag, lo, hi, MAGNITUDE_TOL_M)
         final = rotated.with_position(sample - ((lo + hi) / 2.0) * r_hat)
         if not reachable([final])[0]:
             return None

@@ -395,6 +395,8 @@ def feasibility_batch(poses, dh, tree, seed, rngs) -> list[PoseFeasibility]:
     POSE_CHUNK poses at a time are checked in one array pass. Any other
     table runs the seeded DLS search pose by pose, pose i drawing from
     rngs[i], and checks each solution only when the ones before it collide.
+    That verdict depends on the running seed and rngs[i], so partition and
+    replace may judge the same pose differently.
     """
     seed = np.asarray(seed, dtype=float)
     spherical = has_spherical_wrist(dh)
@@ -422,16 +424,14 @@ def pose_feasibility(pose, dh, env, seed, rng=None) -> PoseFeasibility:
     return feasibility_batch([pose], dh, build_trees(env), seed, [rng])[0]
 
 
-def partition_pose_dictionary(poses, dh, env, seed=None, random_seed=0) -> list[PoseFeasibility]:
+def partition_pose_dictionary(poses, dh, env, random_seed=0) -> list[PoseFeasibility]:
     """Classify each pose as Reachable / IkFailure / Collision, in input order.
 
-    One feasibility_batch over all poses; the first IK seed is `seed` (the
-    home configuration by default). Pose i's DLS search (tables without a
-    spherical wrist) draws from np.random.default_rng([random_seed, i]);
-    deterministic for fixed inputs.
+    One feasibility_batch over all poses, whose first IK seed is the home
+    configuration. Pose i's DLS search (tables without a spherical wrist)
+    draws from np.random.default_rng([random_seed, i]); deterministic for
+    fixed inputs.
     """
     poses = list(poses)
-    if seed is None:
-        seed = dh.home()
-    return feasibility_batch(poses, dh, build_trees(env), seed,
+    return feasibility_batch(poses, dh, build_trees(env), dh.home(),
                              [[random_seed, i] for i in range(len(poses))])

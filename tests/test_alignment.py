@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import fieldarm.environment
 from fieldarm import alignment
 from fieldarm.alignment import (
     BISECT_LEVELS,
@@ -16,20 +17,23 @@ from fieldarm.alignment import (
     similarity,
     sphere_segment_scan,
 )
+from fieldarm.environment import FeasibilityStatus, PoseFeasibility
 from fieldarm.errors import (
     FinalPoseForbidden,
     InsufficientData,
     NoReachableDisplacement,
+    ObserverInsideMaterial,
     TargetUnreachable,
     ZeroField,
 )
 from fieldarm.kinematics import (
     Pose,
     angles_for_direction,
+    default_dh_table,
     magnet_pose_for_field_direction,
     unit_normal,
 )
-from fieldarm.magnetostatics import cylinder_field, inverse_dipole
+from fieldarm.magnetostatics import MAX_DISTANCE_M, MagnetSpec, cylinder_field, inverse_dipole
 from fieldarm.rotations import row_dot
 
 from fieldarm.cli import main
@@ -260,6 +264,25 @@ def test_replace_search_exhaustion(spec, arm, wall):
                                displacement_axis="x")
 
 
+def test_replace_final_pose_forbidden(monkeypatch, spec, arm):
+    """Every displaced candidate is reachable but no re-aimed pose is."""
+    forbidden = magnet_pose_for_field_direction(
+        SAMPLE, np.deg2rad(30.0), np.deg2rad(53.0), STANDOFF
+    )
+
+    def feasibility(poses, dh, tree, seed, rngs):
+        def ok(p):  # a candidate keeps the forbidden pose's angles; a re-aimed pose does not
+            return p is not forbidden and (p.alpha_y, p.alpha_z) == (forbidden.alpha_y,
+                                                                      forbidden.alpha_z)
+        return [PoseFeasibility(p, FeasibilityStatus.REACHABLE if ok(p)
+                                else FeasibilityStatus.COLLISION, dh.home()) for p in poses]
+
+    monkeypatch.setattr(fieldarm.environment, "feasibility_batch", feasibility)
+    with pytest.raises(FinalPoseForbidden):
+        replace_forbidden_pose(forbidden, SAMPLE, spec, [], arm, displacement_axis="z",
+                               max_steps=3)
+
+
 def test_transverse_minimum_at_inverse_dipole_angle(spec):
     forbidden = magnet_pose_for_field_direction(
         SAMPLE, np.deg2rad(40.0), np.deg2rad(20.0), STANDOFF
@@ -329,3 +352,77 @@ def test_replace_batches_its_magnitude_search(monkeypatch, tmp_path):
     assert main(["--config", f"{CONFIG_DIR}/walled.yaml", "replace", "--ay", "30", "--az", "53",
                  "--axis", "y", "--standoff-m", "0.16", "--out", str(tmp_path / "plan.json")]) == 0
     assert len(calls) <= 12  # 33 with one field evaluation per bisection level
+
+
+def _replace_beside(spec, forbidden, axis, steps):
+    """replace_forbidden_pose where only `forbidden` collides, so that the first
+    candidate, `steps` steps of 5 mm along +y or +z, is the displaced pose.
+
+    Returns the plan (None if it raised TargetUnreachable or
+    ObserverInsideMaterial) and each (magnitude, target, lo, hi) that
+    _bisect_held was given.
+    """
+    held, brackets = alignment._bisect_held, []
+
+    def recorded(magnitude, target, lo, hi, tol):
+        brackets.append((magnitude, target, lo, hi))
+        return held(magnitude, target, lo, hi, tol)
+
+    def feasibility(poses, dh, tree, seed, rngs):
+        return [PoseFeasibility(p, FeasibilityStatus.COLLISION if p is forbidden
+                                else FeasibilityStatus.REACHABLE, dh.home()) for p in poses]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(alignment, "_bisect_held", recorded)
+        patch.setattr(fieldarm.environment, "feasibility_batch", feasibility)
+        try:
+            return replace_forbidden_pose(forbidden, SAMPLE, spec, [], default_dh_table(), axis,
+                                          search_step=steps * 0.005, max_steps=1), brackets
+        except (TargetUnreachable, ObserverInsideMaterial):
+            return None, brackets
+
+
+@given(outer=st.floats(1e-3, 1.0), bore=st.floats(0.0, 0.99), length=st.floats(1e-3, 1.0),
+       remanence=st.floats(1e-3, 10.0), ay=st.floats(-math.pi, math.pi),
+       az=st.floats(-math.pi, math.pi), u=st.floats(0.0, 1.0, exclude_min=True),
+       axis=st.sampled_from("yz"), steps=st.integers(1, 40))
+@settings(max_examples=200, deadline=None)
+def test_magnitude_bracket_holds_every_target_on_the_ray(outer, bore, length, remanence, ay, az,
+                                                         u, axis, steps):
+    """Stage (iv)'s checked bracket [lo, hi] holds the target whenever the ray
+    from r_clear out to max(hi, MAX_DISTANCE_M) does, so TargetUnreachable
+    means that no distance on that ray gives the target.
+
+    Magnets come from the configuration's domain, and the forbidden pose lies
+    on its axis at a standoff above the half-length, log-uniform up to
+    MAX_DISTANCE_M.
+    """
+    spec = MagnetSpec.from_remanence(outer, bore * outer, length, remanence)
+    standoff = length / 2.0 * (2.0 * MAX_DISTANCE_M / length) ** u
+    assume(standoff <= MAX_DISTANCE_M)
+    forbidden = magnet_pose_for_field_direction(SAMPLE, ay, az, standoff)
+    _, brackets = _replace_beside(spec, forbidden, axis, steps)
+    assume(brackets)  # the displaced magnet does not enclose the sample
+    (magnitude, target, lo, hi), = brackets
+    B_clear, B_far = magnitude([length / 2.0 + outer + 1e-6, max(hi, MAX_DISTANCE_M)])
+    if B_clear >= target >= B_far:
+        B_lo, B_hi = magnitude([lo, hi])
+        assert B_lo >= target >= B_hi
+
+
+def test_widening_rescues_an_inverted_dipole_bracket():
+    """A flat 1 m disk 35 mm from the sample: the dipole estimate r_guess is
+    65 mm, below r_clear, so [max(r_guess / 2, r_clear), 2 r_guess] is
+    inverted. Widening hi by 1.5 per step brings it past the one distance,
+    1.04 m, that gives the target; without it replace would refuse a
+    reachable target."""
+    spec = MagnetSpec.from_remanence(1.0, 0.0, 0.03125, 1.0)
+    forbidden = magnet_pose_for_field_direction(SAMPLE, 0.0, 0.0, 0.035)
+    plan, ((_, target, lo, hi),) = _replace_beside(spec, forbidden, "y", 11)
+    rotated = plan.rotated_pose
+    r0 = np.linalg.norm(SAMPLE - rotated.position)
+    B_rot = np.linalg.norm(cylinder_field(spec, rotated.position, rotated.axis, SAMPLE))
+    r_guess = r0 * (B_rot / target) ** (1.0 / 3.0)
+    assert 2.0 * r_guess < lo < 1.04 < hi
+    achieved, want = np.linalg.norm(plan.achieved_field), np.linalg.norm(plan.target_field)
+    assert abs(achieved - want) <= 1e-6 * want

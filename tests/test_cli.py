@@ -223,6 +223,28 @@ def test_replace_search_exhausted_exit_1(tmp_path, walled_config_path):
     assert report["error"] in ("NoReachableDisplacement", "FinalPoseForbidden")
 
 
+def test_replace_target_out_of_reach_exit_1(tmp_path, capsys, walled_config_path):
+    """A pose 2 cm from the sample asks for 378 mT; the magnitude bracket
+    reaches 85 mT at most, so replace refuses rather than write a plan."""
+    out = tmp_path / "plan.json"
+    rc = main(["--config", walled_config_path, "replace", "--ay", "30", "--az", "53",
+               "--standoff-m", "0.02", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: TargetUnreachable: target 3.7842e-01 T")
+    assert json.loads(out.read_text())["error"] == "TargetUnreachable"
+
+
+def test_odmr_state_mixing_too_strong_exit_1(tmp_path, capsys):
+    """About 3.7 T at 35 deg from the NV axis leaves no eigenstate mostly ms=0."""
+    out = tmp_path / "spectrum.csv"
+    assert main(["odmr", "--bx", "3000", "--bz", "2121", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: StateMixingTooStrong: largest ms=0 overlap is 0.343; "
+                   "field too strong or transverse"]
+    assert json.loads(out.read_text())["error"] == "StateMixingTooStrong"
+
+
 def test_odmr_spectrum_output(tmp_path):
     out = tmp_path / "odmr.csv"
     rc = main(["odmr", "--bz", "3", "--points", "501", "--out", str(out)])

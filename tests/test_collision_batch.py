@@ -16,7 +16,7 @@ from fieldarm.environment import (
     TriangleMesh,
     _capsule_hits,
     build_trees,
-    partition_pose_dictionary,
+    feasibility_batch,
     segment_triangle_distance,
 )
 from fieldarm.kinematics import forward_kinematics, magnet_pose_for_field_direction, unit_normal
@@ -218,7 +218,7 @@ def test_batch_feasibility_is_the_per_pose_loop(name, angles, joints, start):
     seed = dh.q_min + start * (dh.q_max - dh.q_min)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fieldarm.environment, "POSE_CHUNK", 5)
-        batch = partition_pose_dictionary(poses, dh, env, seed=seed)
+        batch = feasibility_batch(poses, dh, build_trees(env), seed, [None] * len(poses))
     for pose, result in zip(poses, batch):
         status, q = oracle.pose_feasibility(pose, dh, triangles, seed)
         assert result.status.value == status

@@ -526,6 +526,26 @@ def test_a_turn_more_on_every_angle_gives_the_same_field(ay, az, turns, standoff
                 assert np.linalg.norm(moved - field) <= 1e-12 * np.linalg.norm(field)
 
 
+@fuzz(12)
+@given(case=command_lines(["replace"]))
+@example(case=Case("replace", {"ay": "30.0", "az": "53.0", "standoff_m": "0.02"}))
+def test_every_replace_plan_achieves_its_target_magnitude(case):
+    """A replace on walled.yaml that exits 0 writes an achieved |B| within
+    1e-6 of its target |B|; the fuzzer's flags, standoff edges included, and
+    its configuration data aside."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "plan.json")
+        with _full_precision():
+            rc, _ = _run(case.argv(WALLED) + ["--out", out])
+        if rc != 0:
+            return
+        with open(out) as fh:
+            plan = json.load(fh)
+    target, achieved = (np.linalg.norm(next(v for k, v in plan.items() if k.startswith(name)))
+                        for name in ("target_field_", "achieved_field_"))
+    assert abs(achieved - target) <= 1e-6 * target, (case, plan)
+
+
 # arccos near 1 turns a few ulps of cosine into sqrt(2 * 4 eps) rad
 ROUNDING_RAD = math.sqrt(8 * np.finfo(float).eps)
 

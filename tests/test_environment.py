@@ -15,6 +15,7 @@ from fieldarm.environment import (
     TriangleMesh,
     build_trees,
     check_collision,
+    feasibility_batch,
     load_mesh,
     partition_pose_dictionary,
     pose_feasibility,
@@ -387,7 +388,8 @@ def _partition_against_dls_oracle(angles, u, random_seed):
     seed = dh.q_min + np.asarray(u) * (dh.q_max - dh.q_min)
     expected = dls_oracle.partition_pose_dictionary(poses, dh, build_trees(env), seed,
                                                     random_seed)
-    got = partition_pose_dictionary(poses, dh, env, seed, random_seed)
+    got = feasibility_batch(poses, dh, build_trees(env), seed,
+                            [[random_seed, i] for i in range(len(poses))])
     for want, result in zip(expected, got):
         assert result.status is want.result.status
         assert (result.joints is None and want.result.joints is None) or np.array_equal(
