@@ -19,6 +19,7 @@ from .rotations import row_dot
 
 SIMILARITY_SCALE_MT = 3.0  # Gaussian kernel length scale, millitesla
 BISECT_LEVELS = 5  # bisection levels decided per magnitude evaluation
+MAGNITUDE_TOL_M = 1e-9  # bisection tolerance of both magnitude searches
 
 
 class ScanPoint(NamedTuple):
@@ -175,9 +176,11 @@ def _bisect_held(magnitude, targets, lo, hi, tol):
     """bisect_decreasing, once one magnitude call at both ends shows that each
     bracket [lo, hi] holds its target; else TargetUnreachable for the first.
 
-    Both magnitude searches assume that |B| falls along the ray beyond the
-    clearance radius, so a bracket holds the targets in [|B|(hi), |B|(lo)].
-    A thin wide-bore ring breaks that: its on-axis |B| still rises there.
+    Both magnitude searches bracket their ray from the magnet's clearance
+    radius and assume that |B| falls along it from there, so a bracket holds
+    the targets in [|B|(hi), |B|(lo)]. A thin wide-bore ring breaks that: its
+    on-axis |B| still rises beyond the clearance radius, so a target that
+    only that rise reaches is refused by replace, as by schedule.
     """
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
     B_hi, B_lo = (np.broadcast_to(B, targets.shape) for B in magnitude(np.array([lo, hi])))
@@ -196,8 +199,8 @@ def amplitude_schedule(targets, spec: MagnetSpec, direction, sample,
     """Pick magnet distances realising each target amplitude on a fixed ray.
 
     Inverts the monotone |B|(r) curve on [r_min, SCHEDULE_MAX_DISTANCE_M] by
-    _bisect_held to 1e-9 m, snaps each distance to the robot resolution
-    grid, and reports the achieved field and signed error. The
+    _bisect_held to MAGNITUDE_TOL_M, snaps each distance to the robot
+    resolution grid, and reports the achieved field and signed error. The
     error bound is the worst case over the snap window: with h = resolution / 2,
     max(|B|(max(r_min, r - h)) - t, t - |B|(r + h)), which |error| never
     exceeds because |B|(r) falls monotonically.
@@ -209,7 +212,7 @@ def amplitude_schedule(targets, spec: MagnetSpec, direction, sample,
     r_min = spec.length / 2.0 + spec.outer_radius  # just clear of the magnet body
     n = unit_normal(*angles_for_direction(direction))
     magnitude = _ray_magnitude(spec, sample, n, n)
-    lo, hi = _bisect_held(magnitude, targets, r_min, SCHEDULE_MAX_DISTANCE_M, 1e-9)
+    lo, hi = _bisect_held(magnitude, targets, r_min, SCHEDULE_MAX_DISTANCE_M, MAGNITUDE_TOL_M)
     r_exact = (lo + hi) / 2.0
     distances = np.maximum(r_min, quantize_position(r_exact, resolution))
     h = resolution / 2.0
@@ -229,7 +232,6 @@ def similarity(B1, B2) -> float:
 
 
 FAR_FIELD_DIAMETERS = 8.0
-MAGNITUDE_TOL_M = 1e-9  # bisection tolerance of the magnitude search
 REPLACE_CHUNK = 16  # displacement candidates per feasibility_batch call
 
 
@@ -243,9 +245,9 @@ def replace_forbidden_pose(forbidden: Pose, sample, spec: MagnetSpec, env, dh,
     pose is reachable; (iii) re-orient the magnet along the inverse-dipole
     moment for the new displacement so the field direction is recovered;
     (iv) slide the magnet along the magnet-sample ray to recover the
-    magnitude: _bisect_held on the cylinder model, in a bracket within a
-    factor of two of the dipole (cube-root) estimate, widened by 1.5 where
-    that misses; a target it cannot hold raises TargetUnreachable.
+    magnitude: _bisect_held on the cylinder model over the whole ray from
+    the clearance radius to MAX_DISTANCE_M, the rule amplitude_schedule
+    applies; a target outside that ray's range raises TargetUnreachable.
     A pose counts as reachable when feasibility_batch says so; the IK seed
     starts at home and `rng` drives its DLS fallback. The displacement
     candidates, in (step, sign) order, are checked REPLACE_CHUNK at a time;
@@ -287,18 +289,10 @@ def replace_forbidden_pose(forbidden: Pose, sample, spec: MagnetSpec, env, dh,
         ay, az = angles_for_direction(moment)
         rotated = Pose(displaced.x, displaced.y, displaced.z, 0.0, ay, az)
 
-        r0 = float(np.linalg.norm(r_vec))
-        r_hat = r_vec / r0
+        r_hat = r_vec / np.linalg.norm(r_vec)
         n = rotated.axis
         magnitude = _ray_magnitude(spec, sample, r_hat, n)
-        B_rot = cylinder_field(spec, rotated.position, n, sample)
-        r_guess = r0 * (np.linalg.norm(B_rot) / target_mag) ** (1.0 / 3.0)
-        lo, hi = max(r_guess / 2.0, r_clear), r_guess * 2.0
-        while magnitude(hi) > target_mag and hi < MAX_DISTANCE_M:
-            hi *= 1.5
-        while magnitude(lo) < target_mag and lo / 1.5 > r_clear:
-            lo = max(lo / 1.5, r_clear)
-        (lo,), (hi,) = _bisect_held(magnitude, target_mag, lo, hi, MAGNITUDE_TOL_M)
+        (lo,), (hi,) = _bisect_held(magnitude, target_mag, r_clear, MAX_DISTANCE_M, MAGNITUDE_TOL_M)
         final = rotated.with_position(sample - ((lo + hi) / 2.0) * r_hat)
         if not reachable([final])[0]:
             return None

@@ -351,16 +351,15 @@ def test_replace_batches_its_magnitude_search(monkeypatch, tmp_path):
     monkeypatch.setattr(alignment, "cylinder_field", counted)
     assert main(["--config", f"{CONFIG_DIR}/walled.yaml", "replace", "--ay", "30", "--az", "53",
                  "--axis", "y", "--standoff-m", "0.16", "--out", str(tmp_path / "plan.json")]) == 0
-    assert len(calls) <= 12  # 33 with one field evaluation per bisection level
+    assert len(calls) <= 10  # 37 with one field evaluation per bisection level
 
 
 def _replace_beside(spec, forbidden, axis, steps):
     """replace_forbidden_pose where only `forbidden` collides, so that the first
     candidate, `steps` steps of 5 mm along +y or +z, is the displaced pose.
 
-    Returns the plan (None if it raised TargetUnreachable or
-    ObserverInsideMaterial) and each (magnitude, target, lo, hi) that
-    _bisect_held was given.
+    Returns the plan, or the TargetUnreachable or ObserverInsideMaterial that
+    it raised, and each (magnitude, target, lo, hi) that _bisect_held was given.
     """
     held, brackets = alignment._bisect_held, []
 
@@ -378,51 +377,66 @@ def _replace_beside(spec, forbidden, axis, steps):
         try:
             return replace_forbidden_pose(forbidden, SAMPLE, spec, [], default_dh_table(), axis,
                                           search_step=steps * 0.005, max_steps=1), brackets
-        except (TargetUnreachable, ObserverInsideMaterial):
-            return None, brackets
+        except (TargetUnreachable, ObserverInsideMaterial) as exc:
+            return exc, brackets
 
 
-@given(outer=st.floats(1e-3, 1.0), bore=st.floats(0.0, 0.99), length=st.floats(1e-3, 1.0),
-       remanence=st.floats(1e-3, 10.0), ay=st.floats(-math.pi, math.pi),
-       az=st.floats(-math.pi, math.pi), u=st.floats(0.0, 1.0, exclude_min=True),
-       axis=st.sampled_from("yz"), steps=st.integers(1, 40))
-@settings(max_examples=200, deadline=None)
-def test_magnitude_bracket_holds_every_target_on_the_ray(outer, bore, length, remanence, ay, az,
-                                                         u, axis, steps):
-    """Stage (iv)'s checked bracket [lo, hi] holds the target whenever the ray
-    from r_clear out to max(hi, MAX_DISTANCE_M) does, so TargetUnreachable
-    means that no distance on that ray gives the target.
+# Magnets from the configuration's domain, each with a forbidden pose on its
+# axis at a standoff above the half-length, log-uniform up to MAX_DISTANCE_M,
+# and a displacement of 1-40 steps along y or z.
+replace_draws = dict(
+    outer=st.floats(1e-3, 1.0), bore=st.floats(0.0, 0.99), length=st.floats(1e-3, 1.0),
+    remanence=st.floats(1e-3, 10.0), ay=st.floats(-math.pi, math.pi),
+    az=st.floats(-math.pi, math.pi), u=st.floats(0.0, 1.0, exclude_min=True),
+    axis=st.sampled_from("yz"), steps=st.integers(1, 40))
 
-    Magnets come from the configuration's domain, and the forbidden pose lies
-    on its axis at a standoff above the half-length, log-uniform up to
-    MAX_DISTANCE_M.
-    """
+
+def _replace_drawn(outer, bore, length, remanence, ay, az, u, axis, steps):
+    """_replace_beside on one draw of replace_draws; also its spec and forbidden pose."""
     spec = MagnetSpec.from_remanence(outer, bore * outer, length, remanence)
     standoff = length / 2.0 * (2.0 * MAX_DISTANCE_M / length) ** u
     assume(standoff <= MAX_DISTANCE_M)
     forbidden = magnet_pose_for_field_direction(SAMPLE, ay, az, standoff)
-    _, brackets = _replace_beside(spec, forbidden, axis, steps)
-    assume(brackets)  # the displaced magnet does not enclose the sample
+    return spec, forbidden, *_replace_beside(spec, forbidden, axis, steps)
+
+
+@given(**replace_draws)
+@settings(max_examples=200, deadline=None)
+def test_magnitude_bracket_holds_every_target_on_the_ray(**draw):
+    """Stage (iv) bisects [r_clear, MAX_DISTANCE_M], so replace raises
+    TargetUnreachable exactly when no distance on that ray gives the target."""
+    spec, _, outcome, brackets = _replace_drawn(**draw)
+    assume(brackets)  # the forbidden magnet does not enclose the sample
     (magnitude, target, lo, hi), = brackets
-    B_clear, B_far = magnitude([length / 2.0 + outer + 1e-6, max(hi, MAX_DISTANCE_M)])
-    if B_clear >= target >= B_far:
-        B_lo, B_hi = magnitude([lo, hi])
-        assert B_lo >= target >= B_hi
+    r_clear = spec.length / 2.0 + spec.outer_radius + 1e-6
+    assert (lo, hi) == (r_clear, MAX_DISTANCE_M)
+    B_clear, B_far = magnitude([r_clear, MAX_DISTANCE_M])
+    assert isinstance(outcome, TargetUnreachable) == (not B_far <= target <= B_clear)
 
 
-def test_widening_rescues_an_inverted_dipole_bracket():
-    """A flat 1 m disk 35 mm from the sample: the dipole estimate r_guess is
-    65 mm, below r_clear, so [max(r_guess / 2, r_clear), 2 r_guess] is
-    inverted. Widening hi by 1.5 per step brings it past the one distance,
-    1.04 m, that gives the target; without it replace would refuse a
-    reachable target."""
+@given(**replace_draws)
+@example(outer=0.5, bore=0.5, length=0.1, remanence=1.4, ay=-1.0, az=-1.0, u=0.1, axis="z",
+         steps=20)  # the re-aimed magnet at the displaced pose encloses the sample
+@settings(max_examples=200, deadline=None)
+def test_replace_meets_the_material_only_at_the_forbidden_pose(**draw):
+    """replace raises ObserverInsideMaterial only when the forbidden pose
+    itself puts the sample in the magnet material: after the target field,
+    it evaluates the field only beyond the clearance radius."""
+    spec, forbidden, outcome, _ = _replace_drawn(**draw)
+    try:
+        cylinder_field(spec, forbidden.position, forbidden.axis, SAMPLE)
+        encloses = False
+    except ObserverInsideMaterial:
+        encloses = True
+    assert isinstance(outcome, ObserverInsideMaterial) == encloses
+
+
+def test_replace_slides_a_flat_disk_far_out():
+    """A flat 1 m disk 35 mm from the sample, displaced 55 mm along y: only
+    a distance near 1.04 m on the re-aimed ray gives the target's magnitude."""
     spec = MagnetSpec.from_remanence(1.0, 0.0, 0.03125, 1.0)
     forbidden = magnet_pose_for_field_direction(SAMPLE, 0.0, 0.0, 0.035)
-    plan, ((_, target, lo, hi),) = _replace_beside(spec, forbidden, "y", 11)
-    rotated = plan.rotated_pose
-    r0 = np.linalg.norm(SAMPLE - rotated.position)
-    B_rot = np.linalg.norm(cylinder_field(spec, rotated.position, rotated.axis, SAMPLE))
-    r_guess = r0 * (B_rot / target) ** (1.0 / 3.0)
-    assert 2.0 * r_guess < lo < 1.04 < hi
+    plan, _ = _replace_beside(spec, forbidden, "y", 11)
+    assert abs(np.linalg.norm(SAMPLE - plan.final_pose.position) - 1.04) < 0.005
     achieved, want = np.linalg.norm(plan.achieved_field), np.linalg.norm(plan.target_field)
     assert abs(achieved - want) <= 1e-6 * want

@@ -235,6 +235,25 @@ def test_replace_target_out_of_reach_exit_1(tmp_path, capsys, walled_config_path
     assert json.loads(out.read_text())["error"] == "TargetUnreachable"
 
 
+def test_replace_wide_ring_near_the_sample_writes_a_plan(tmp_path):
+    """A 10 cm-wide ring 12 mm from the sample: the re-aimed magnet at the
+    displaced pose would enclose the sample, but the magnitude search only
+    evaluates the field beyond the clearance radius, so replace plans."""
+    with open(WALLED) as fh:
+        data = yaml.safe_load(fh)
+    data["environment"][0]["mesh"] = os.path.abspath(WALL_OFF)
+    data["magnet"] = {"outer_radius_m": 0.05, "inner_radius_m": 0.03, "length_m": 0.02,
+                      "remanence_T": 1.4}
+    config = _written(tmp_path / "wide.yaml", yaml.safe_dump(data).encode())
+    out = tmp_path / "plan.json"
+    assert main(["--config", config, "replace", "--ay", "30", "--az", "37", "--axis", "y",
+                 "--standoff-m", "0.012", "--out", str(out)]) == 0
+    plan = json.loads(out.read_text())
+    assert plan["identity"] is False
+    achieved, want = (np.linalg.norm(plan[k]) for k in ("achieved_field_mT", "target_field_mT"))
+    assert abs(achieved - want) <= 1e-6 * want
+
+
 def test_odmr_state_mixing_too_strong_exit_1(tmp_path, capsys):
     """About 3.7 T at 35 deg from the NV axis leaves no eigenstate mostly ms=0."""
     out = tmp_path / "spectrum.csv"

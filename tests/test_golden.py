@@ -6,8 +6,11 @@ search), reproduce committed bytes.
 
 The copies in `tests/golden/` were written by `golden_artefact` with numpy
 GOLDEN_NUMPY. Absolute paths of the bundled configs (the mesh path in the
-walled configuration) are the only part normalised. numpy's ufunc rounding
-may differ between versions, so another version skips these checks.
+walled configuration) are the only part normalised, to `<configs>`. To remake
+a copy on purpose, write the text that `golden_artefact(name, out_dir)`
+returns, already normalised, to `tests/golden/<name>`, and state each value
+that changed. numpy's ufunc rounding may differ between versions, so another
+version skips these checks.
 
 The in-process checks run under pytest's numpy, loaded before the CLI could
 set its BLAS thread count; one fresh interpreter that imports `fieldarm.cli`
