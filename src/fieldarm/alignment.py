@@ -12,7 +12,8 @@ import numpy as np
 
 from .errors import (FinalPoseForbidden, FitDiverged, InsufficientData, NoReachableDisplacement,
                      TargetUnreachable, ZeroField)
-from .kinematics import Pose, angles_for_direction, has_spherical_wrist, quantize_position, unit_normal
+from .kinematics import (Pose, angles_for_direction, has_spherical_wrist, magnet_poses, pose_frames,
+                         quantize_position, unit_normal)
 from .magnetostatics import (MAX_DISTANCE_M, SCHEDULE_MAX_DISTANCE_M, MagnetSpec, cylinder_field,
                              inverse_dipole)
 from .rotations import row_dot
@@ -22,12 +23,14 @@ BISECT_LEVELS = 5  # bisection levels decided per magnitude evaluation
 MAGNITUDE_TOL_M = 1e-9  # bisection tolerance of both magnitude searches
 
 
-class ScanPoint(NamedTuple):
-    alpha_y: float
-    alpha_z: float
-    pose: Pose
-    predicted_field: np.ndarray   # T, world frame
-    order_index: int
+class Scan(NamedTuple):
+    """A scan grid in meander order; row i has order_index i."""
+    alpha_y: np.ndarray    # (N,) rad, as given
+    alpha_z: np.ndarray    # (N,) rad, as given
+    positions: np.ndarray  # (N, 3) m, magnet centres
+    axes: np.ndarray       # (N, 3) magnetisation axes
+    fields: np.ndarray     # (N, 3) T, predicted at the sample, world frame
+    frames: np.ndarray     # (N, 4, 4) the magnet poses as TCP target frames
 
 
 class CalibrationResult(NamedTuple):
@@ -56,15 +59,13 @@ class ReplacementPlan(NamedTuple):
     identity: bool = False
 
 
-def sphere_segment_scan(sample, alpha_y_values, alpha_z_values, standoff,
-                        spec: MagnetSpec) -> list[ScanPoint]:
-    """Enumerate magnet poses over the (alpha_y, alpha_z) grid in meander order.
+def sphere_segment_scan(sample, alpha_y_values, alpha_z_values, standoff, spec: MagnetSpec) -> Scan:
+    """Magnet poses over the (alpha_y, alpha_z) grid in meander order, as arrays.
 
     Row k (fixed alpha_y) traverses alpha_z ascending when k is even,
-    descending when odd. Predicted fields come from the cylinder model.
+    descending when odd. magnet_poses wraps each direction once and places
+    the pose on it; predicted fields come from the cylinder model.
     """
-    if standoff <= 0:
-        raise ValueError("standoff must be > 0")
     ay_vals = np.atleast_1d(np.asarray(alpha_y_values, dtype=float))
     az_vals = np.atleast_1d(np.asarray(alpha_z_values, dtype=float))
     if ay_vals.size == 0 or az_vals.size == 0:
@@ -73,13 +74,9 @@ def sphere_segment_scan(sample, alpha_y_values, alpha_z_values, standoff,
     az_grid = np.tile(az_vals, (ay_vals.size, 1))
     az_grid[1::2] = az_grid[1::2, ::-1]
     ay, az = np.repeat(ay_vals, az_vals.size), az_grid.ravel()
-    positions = sample - standoff * unit_normal(ay, az)
-    poses = [Pose(*p, 0.0, a, z) for p, a, z in zip(positions, ay, az)]
-    # a pose's axis comes from its angles wrapped to (-pi, pi]
-    axes = unit_normal([p.alpha_y for p in poses], [p.alpha_z for p in poses])
-    fields = cylinder_field(spec, positions, axes, sample)
-    return [ScanPoint(float(a), float(z), pose, B, i)
-            for i, (a, z, pose, B) in enumerate(zip(ay, az, poses, fields))]
+    ay_w, az_w, axes, positions = magnet_poses(sample, ay, az, standoff)
+    return Scan(ay, az, positions, axes, cylinder_field(spec, positions, axes, sample),
+                pose_frames(positions, 0.0, ay_w, az_w))
 
 
 def angular_error(predicted, designed_direction):
@@ -263,16 +260,16 @@ def replace_forbidden_pose(forbidden: Pose, sample, spec: MagnetSpec, env, dh,
     tree = build_trees(env)
     seed = dh.home()
 
-    def reachable(poses):  # from the running IK seed, then the last joints found
+    def reachable(frames):  # from the running IK seed, then the last joints found
         nonlocal seed
-        results = feasibility_batch(poses, dh, tree, seed, [rng] * len(poses))
+        results = feasibility_batch(frames, dh, tree, seed, [rng] * len(frames))
         seed = next((r.joints for r in reversed(results) if r.joints is not None), seed)
         return [r.status is FeasibilityStatus.REACHABLE for r in results]
 
     target = cylinder_field(spec, forbidden.position, forbidden.axis, sample)
     target_mag = float(np.linalg.norm(target))
 
-    if reachable([forbidden])[0]:
+    if reachable(forbidden.matrix()[None])[0]:
         return ReplacementPlan(
             original_pose=forbidden, displaced_pose=forbidden, rotated_pose=forbidden,
             final_pose=forbidden, target_field=target, achieved_field=target,
@@ -294,7 +291,7 @@ def replace_forbidden_pose(forbidden: Pose, sample, spec: MagnetSpec, env, dh,
         magnitude = _ray_magnitude(spec, sample, r_hat, n)
         (lo,), (hi,) = _bisect_held(magnitude, target_mag, r_clear, MAX_DISTANCE_M, MAGNITUDE_TOL_M)
         final = rotated.with_position(sample - ((lo + hi) / 2.0) * r_hat)
-        if not reachable([final])[0]:
+        if not reachable(final.matrix()[None])[0]:
             return None
         achieved = cylinder_field(spec, final.position, n, sample)
         return ReplacementPlan(
@@ -307,13 +304,14 @@ def replace_forbidden_pose(forbidden: Pose, sample, spec: MagnetSpec, env, dh,
     steps = ((n, sign) for n in range(1, max_steps + 1) for sign in (1.0, -1.0))
     found_displacement = False
     while batch := list(itertools.islice(steps, chunk)):
-        candidates = [forbidden.with_position(forbidden.position + sign * n * search_step * axis)
-                      for n, sign in batch]
-        for candidate, ok in zip(candidates, reachable(candidates)):
+        n, sign = np.array(batch).T
+        frames = np.repeat(forbidden.matrix()[None], len(batch), axis=0)
+        frames[:, :3, 3] = forbidden.position + (sign * n * search_step)[:, None] * axis
+        for frame, ok in zip(frames, reachable(frames)):
             if not ok:
                 continue
             found_displacement = True
-            plan = plan_for(candidate)
+            plan = plan_for(forbidden.with_position(frame[:3, 3]))
             if plan is not None:
                 return plan
     if found_displacement:

@@ -119,8 +119,8 @@ COMMON = (
     Flag("out", str, help="output artefact path (default: stdout)"),
     Flag("units", tuple(UNITS), "mT-deg", help="units at the CLI boundary (default: mT-deg)"),
 )
-# ten turns either way; far beyond, a scan pose's position and axis, which come from
-# the angle before and after it is wrapped, drift apart
+# ten turns either way, a bound on what a user means by an angle; every pose wraps
+# its angles once, and takes its position and axis from the wrapped direction
 ANGLE_FLAG = Domain("in [-20pi, 20pi] rad (+-3600 deg)", lambda v: abs(v) <= 20 * math.pi)
 STANDOFF = Flag("standoff_m", default=0.16, domain=up_to(MAX_DISTANCE_M), rule=Rule(
     "> the magnet's half-length", lambda config: config.magnet.length / 2.0))
@@ -269,7 +269,7 @@ def _pose_dict(pose: Pose):
             "alpha_z_{angle}": pose.alpha_z}
 
 
-def _scan_points(args, config: RunConfig):
+def _scan(args, config: RunConfig):
     from .alignment import sphere_segment_scan  # deferred, as in every command that uses it
     ay = np.linspace(args.ay_start, args.ay_stop, args.ay_steps)
     az = np.linspace(args.az_start, args.az_stop, args.az_steps)
@@ -278,13 +278,12 @@ def _scan_points(args, config: RunConfig):
 
 def cmd_scan(args, config: RunConfig):
     from .alignment import angular_error
-    points = _scan_points(args, config)
-    ay, az = np.array([[pt.alpha_y, pt.alpha_z] for pt in points]).T
-    errors = angular_error(np.array([pt.predicted_field for pt in points]), unit_normal(ay, az))
-    _emit_csv(args, config, [[pt.alpha_y, pt.alpha_z, *pt.predicted_field, err, pt.order_index]
-                             for pt, err in zip(points, errors)])
+    scan = _scan(args, config)
+    errors = angular_error(scan.fields, scan.axes)
+    _emit_csv(args, config, [[ay, az, *B, err, i] for i, (ay, az, B, err)
+                             in enumerate(zip(scan.alpha_y, scan.alpha_z, scan.fields, errors))])
     a = UNITS[args.units]["angle"]
-    print(f"scan: {len(points)} poses, mean angular error {float(np.mean(errors)) * a.out:.6g} "
+    print(f"scan: {len(errors)} poses, mean angular error {float(np.mean(errors)) * a.out:.6g} "
           f"{a.label}, max {float(np.max(errors)) * a.out:.6g} {a.label}", file=sys.stderr)
 
 
@@ -309,11 +308,11 @@ def cmd_schedule(args, config: RunConfig):
 
 def cmd_partition(args, config: RunConfig):
     from .environment import partition_pose_dictionary  # deferred: only partition loads it
-    points = _scan_points(args, config)
-    results = partition_pose_dictionary([pt.pose for pt in points], config.dh,
-                                        config.environment, random_seed=config.seed)
-    _emit_csv(args, config, [[pt.alpha_y, pt.alpha_z, res.status.value, pt.order_index]
-                             for pt, res in zip(points, results)])
+    scan = _scan(args, config)
+    results = partition_pose_dictionary(scan.frames, config.dh, config.environment,
+                                        random_seed=config.seed)
+    _emit_csv(args, config, [[ay, az, res.status.value, i] for i, (ay, az, res)
+                             in enumerate(zip(scan.alpha_y, scan.alpha_z, results))])
 
 
 def cmd_replace(args, config: RunConfig):

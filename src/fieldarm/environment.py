@@ -10,19 +10,20 @@ bounding boxes (AABBs). A query tests every capsule's AABB, grown by its
 radius, against every triangle's in one array operation (the broad phase),
 then runs Ericson's exact segment-triangle distance (Real-Time Collision
 Detection, 2005, ch. 5) on the surviving pairs only. Feasibility is decided
-for a batch of poses at once: every IK branch of every pose, every capsule.
+for a stack of TCP frames at once: every IK branch of each, every capsule.
 """
 
 import enum
 from dataclasses import dataclass
+from itertools import islice, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateGeometry, ParseError
-from .kinematics import (DHTable, Pose, frame_chain, has_spherical_wrist, ik_branch_array,
-                         ik_solutions, nearest_first)
+from .kinematics import (DHTable, frame_chain, has_spherical_wrist, ik_branch_array, ik_solutions,
+                         nearest_first)
 
 _MIN_TRIANGLE_AREA = 1e-12  # m^2
 _EPS = 1e-18                # squared lengths and products below this count as zero
@@ -87,12 +88,16 @@ def _convert(rows, kind, counts, what, first=0):
 def _off_layout(rows, end):
     """Flat vertices and fan triangles of OFF rows: the header, the counts
     (nv nf ...), nv vertex rows (x y z ...), nf face rows (n i_1 .. i_n ...)."""
-    rows = [row for row in rows if row[1][0][0] != "#"]  # drops comment rows
-    nv, nf = _convert(rows[1:2] or [(end, ())], int, [2], "OFF count line")
-    if min(nv, nf) < 0 or len(rows) < 2 + nv + nf:
+    rows = (row for row in rows if row[1][0][0] != "#")  # drops comment rows
+    counts = list(islice(rows, 1, 2))  # after the header
+    nv, nf = _convert(counts or [(end, ())], int, [2], "OFF count line")
+    # rows are split as read, so the vertex block's tokens go before the face block's come
+    vertices = _convert(list(islice(rows, max(nv, 0))), float, repeat(3), "vertex")
+    faces = list(islice(rows, max(nf, 0)))
+    if min(nv, nf) < 0 or len(vertices) < 3 * nv or len(faces) < nf:
         raise ParseError(f"OFF counts {nv} {nf}: need both >= 0 and {nv} + {nf} rows below, "
-                         f"found {len(rows) - 2}", line=rows[1][0])
-    faces = rows[2 + nv:2 + nv + nf]
+                         f"found {len(vertices) // 3 + len(faces) + sum(1 for _ in rows)}",
+                         line=counts[0][0])
     sizes = _convert(faces, int, [1] * nf, "face")
     if min(sizes, default=3) < 3:  # names the first face with the fewest
         raise ParseError(f"face with {min(sizes)} vertices", line=faces[sizes.index(min(sizes))][0])
@@ -105,8 +110,7 @@ def _off_layout(rows, end):
     # fan triangle t, of face f, is corners[starts[f]], corners[2 f + t + 1], corners[2 f + t + 2]
     face = np.repeat(np.arange(nf), np.array(sizes, dtype=int) - 2)
     j = 2 * face + np.arange(len(face)) + 1
-    return (_convert(rows[2:2 + nv], float, [3] * nv, "vertex"),
-            np.array(corners, dtype=int)[np.stack([starts[face], j, j + 1], axis=-1)])
+    return vertices, np.array(corners, dtype=int)[np.stack([starts[face], j, j + 1], axis=-1)]
 
 
 def _stl_layout(rows, end):
@@ -304,7 +308,6 @@ class FeasibilityStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class PoseFeasibility:
-    pose: Pose
     status: FeasibilityStatus
     joints: np.ndarray | None
 
@@ -347,15 +350,15 @@ def check_collision(dh: DHTable, joints, env) -> CollisionResult:
     return CollisionResult(clear=True, min_distance=gap)
 
 
-def _branch_verdicts(poses, dh, tree):
-    """IK branches (N, 8, 6) of a chunk of poses, the mask of those that exist,
-    and the mask of those whose every capsule clears the collision index.
+def _branch_verdicts(targets, dh, tree):
+    """IK branches (N, 8, 6) of target frames (N, 4, 4), the mask of those that
+    exist, and the mask of those whose every capsule clears the collision index.
 
-    A capsule that several branches of one pose share (the wrist and tool
-    follow from the pose alone; wrist flips share the arm) is checked once:
+    A capsule that several branches of one target share (the wrist and tool
+    follow from the target alone; wrist flips share the arm) is checked once:
     capsules count as one when their end points agree to 1e-9 m.
     """
-    q, ok = ik_branch_array(dh, np.array([pose.matrix() for pose in poses]))
+    q, ok = ik_branch_array(dh, targets)
     clear = ok.copy()
     if not len(tree.triangles) or not ok.any():
         return q, ok, clear
@@ -371,29 +374,30 @@ def _branch_verdicts(poses, dh, tree):
     return q, ok, clear
 
 
-def _verdict(pose, pairs) -> PoseFeasibility:
+def _verdict(pairs) -> PoseFeasibility:
     """Reachable with the first clear solution, else Collision with the first
     solution, else IkFailure; `pairs` are (joints, clear) in preference order."""
     first = None
     for q, clear in pairs:
         if clear:
-            return PoseFeasibility(pose, FeasibilityStatus.REACHABLE, q)
+            return PoseFeasibility(FeasibilityStatus.REACHABLE, q)
         if first is None:
             first = q
     if first is None:
-        return PoseFeasibility(pose, FeasibilityStatus.IK_FAILURE, None)
-    return PoseFeasibility(pose, FeasibilityStatus.COLLISION, first)
+        return PoseFeasibility(FeasibilityStatus.IK_FAILURE, None)
+    return PoseFeasibility(FeasibilityStatus.COLLISION, first)
 
 
-def feasibility_batch(poses, dh, tree, seed, rngs) -> list[PoseFeasibility]:
-    """IK, then a check against the collision index `tree`, for poses in input order.
+def feasibility_batch(targets, dh, tree, seed, rngs) -> list[PoseFeasibility]:
+    """IK, then a check against the collision index `tree`, for each TCP frame
+    of a stack (N, 4, 4), in order.
 
-    Each pose gets the _verdict of its ik_solutions from the running seed,
-    which starts at `seed` and becomes each pose's joints in turn, mirroring
+    Each target gets the _verdict of its ik_solutions from the running seed,
+    which starts at `seed` and becomes each target's joints in turn, mirroring
     a meander scan's locality. For a spherical-wrist table the solutions are
     every IK branch, so Collision is proof; the branches and capsules of
-    POSE_CHUNK poses at a time are checked in one array pass. Any other
-    table runs the seeded DLS search pose by pose, pose i drawing from
+    POSE_CHUNK targets at a time are checked in one array pass. Any other
+    table runs the seeded DLS search target by target, target i drawing from
     rngs[i], and checks each solution only when the ones before it collide.
     That verdict depends on the running seed and rngs[i], so partition and
     replace may judge the same pose differently.
@@ -401,18 +405,18 @@ def feasibility_batch(poses, dh, tree, seed, rngs) -> list[PoseFeasibility]:
     seed = np.asarray(seed, dtype=float)
     spherical = has_spherical_wrist(dh)
     out = []
-    for start in range(0, len(poses), POSE_CHUNK):
-        chunk = poses[start:start + POSE_CHUNK]
+    for start in range(0, len(targets), POSE_CHUNK):
+        chunk = targets[start:start + POSE_CHUNK]
         if spherical:
             q, ok, clear = _branch_verdicts(chunk, dh, tree)
-        for i, pose in enumerate(chunk):
+        for i, target in enumerate(chunk):
             if spherical:
                 branches, free = q[i][ok[i]], clear[i][ok[i]]
                 pairs = ((branches[j], free[j]) for j in nearest_first(branches, seed))
             else:
                 pairs = ((s, not _capsule_hits(_capsules(dh, s), dh.link_radii, tree).any())
-                         for s in ik_solutions(dh, pose, seed, rngs[start + i]))
-            result = _verdict(pose, pairs)
+                         for s in ik_solutions(dh, target, seed, rngs[start + i]))
+            result = _verdict(pairs)
             if result.joints is not None:
                 seed = result.joints
             out.append(result)
@@ -420,18 +424,17 @@ def feasibility_batch(poses, dh, tree, seed, rngs) -> list[PoseFeasibility]:
 
 
 def pose_feasibility(pose, dh, env, seed, rng=None) -> PoseFeasibility:
-    """feasibility_batch for one pose, against the meshes of `env`."""
-    return feasibility_batch([pose], dh, build_trees(env), seed, [rng])[0]
+    """feasibility_batch for the frame of one Pose, against the meshes of `env`."""
+    return feasibility_batch(pose.matrix()[None], dh, build_trees(env), seed, [rng])[0]
 
 
-def partition_pose_dictionary(poses, dh, env, random_seed=0) -> list[PoseFeasibility]:
-    """Classify each pose as Reachable / IkFailure / Collision, in input order.
+def partition_pose_dictionary(targets, dh, env, random_seed=0) -> list[PoseFeasibility]:
+    """Classify each TCP frame of a stack (N, 4, 4) as Reachable / IkFailure / Collision.
 
-    One feasibility_batch over all poses, whose first IK seed is the home
-    configuration. Pose i's DLS search (tables without a spherical wrist)
+    One feasibility_batch over the stack, whose first IK seed is the home
+    configuration. Target i's DLS search (tables without a spherical wrist)
     draws from np.random.default_rng([random_seed, i]); deterministic for
     fixed inputs.
     """
-    poses = list(poses)
-    return feasibility_batch(poses, dh, build_trees(env), dh.home(),
-                             [[random_seed, i] for i in range(len(poses))])
+    return feasibility_batch(targets, dh, build_trees(env), dh.home(),
+                             [[random_seed, i] for i in range(len(targets))])

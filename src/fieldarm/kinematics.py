@@ -27,9 +27,8 @@ class Pose:
     alpha_z: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha_x", normalize_angle(self.alpha_x))
-        object.__setattr__(self, "alpha_y", normalize_angle(self.alpha_y))
-        object.__setattr__(self, "alpha_z", normalize_angle(self.alpha_z))
+        for name in ("alpha_x", "alpha_y", "alpha_z"):
+            object.__setattr__(self, name, normalize_angle(getattr(self, name)))
 
     @property
     def position(self) -> np.ndarray:
@@ -44,10 +43,7 @@ class Pose:
         return euler_to_matrix(self.alpha_x, self.alpha_y, self.alpha_z)
 
     def matrix(self) -> np.ndarray:
-        T = np.eye(4)
-        T[:3, :3] = self.rotation()
-        T[:3, 3] = self.position
-        return T
+        return pose_frames(self.position, self.alpha_x, self.alpha_y, self.alpha_z)
 
     @classmethod
     def from_matrix(cls, T: np.ndarray) -> "Pose":
@@ -55,8 +51,15 @@ class Pose:
         return cls(T[0, 3], T[1, 3], T[2, 3], ax, ay, az)
 
     def with_position(self, p) -> "Pose":
-        p = np.asarray(p, dtype=float)
-        return Pose(p[0], p[1], p[2], self.alpha_x, self.alpha_y, self.alpha_z)
+        return Pose(*np.asarray(p, dtype=float), self.alpha_x, self.alpha_y, self.alpha_z)
+
+
+def pose_frames(positions, alpha_x, alpha_y, alpha_z) -> np.ndarray:
+    """Homogeneous matrices (..., 4, 4) of positions (..., 3) and Euler angles (...)."""
+    R = euler_to_matrix(alpha_x, alpha_y, alpha_z)
+    T = np.zeros(R.shape[:-2] + (4, 4))
+    T[..., :3, :3], T[..., :3, 3], T[..., 3, 3] = R, positions, 1.0
+    return T
 
 
 @dataclass(frozen=True)
@@ -233,7 +236,7 @@ def has_spherical_wrist(dh: DHTable) -> bool:
     that point in the vertical plane through the base axis at azimuth
     theta1: alpha1 = +-pi/2, alpha2 = 0 and no lateral offset,
     d2 + d3 + d4 cos(alpha3) = 0. Each must hold within 1e-6, since configs
-    store pi/2 to 11 digits; a loose test is safe because ik_branches keeps
+    store pi/2 to 11 digits; a loose test is safe because ik_branch_array keeps
     only branches whose forward kinematics match.
     """
     a, alpha, d = dh.a, dh.alpha, dh.d
@@ -325,43 +328,36 @@ def ik_branch_array(dh: DHTable, targets) -> tuple[np.ndarray, np.ndarray]:
     return q, ok
 
 
-def ik_branches(dh: DHTable, target: Pose) -> list[np.ndarray]:
-    """Every IK solution of a spherical-wrist table: ik_branch_array for one target."""
-    q, ok = ik_branch_array(dh, target.matrix()[None])
-    return list(q[0, ok[0]])
-
-
 def nearest_first(branches, seed) -> list[int]:
     """Indices of `branches` by distance to `seed`, nearest first (ties keep their order)."""
     return sorted(range(len(branches)), key=lambda j: float(np.linalg.norm(branches[j] - seed)))
 
 
-def ik_solutions(dh: DHTable, target: Pose, seed: np.ndarray = None, rng=None):
-    """Joint configurations reaching `target` within POS_TOL/ROT_TOL, in preference order.
+def ik_solutions(dh: DHTable, target: np.ndarray, seed: np.ndarray = None, rng=None):
+    """Joints reaching the TCP frame `target` (4, 4) within POS_TOL/ROT_TOL, best first.
 
-    A spherical-wrist table yields its ik_branches, nearest `seed` first
-    (`rng` is unused). Any other table runs one seeded DLS search: it solves
-    from `seed`, and after every solve draws the next start uniformly from
-    `rng` (a Generator, or a seed for np.random.default_rng; default 0). It
-    stops after DLS_BRANCHES solutions, or after DLS_RESTARTS + 1 failed
+    A spherical-wrist table yields its ik_branch_array branches, nearest `seed`
+    first (`rng` is unused). Any other table runs one seeded DLS search: it
+    solves from `seed`, and after every solve draws the next start uniformly
+    from `rng` (a Generator, or a seed for np.random.default_rng; default 0).
+    It stops after DLS_BRANCHES solutions, or after DLS_RESTARTS + 1 failed
     solves in a row. A target beyond the arm's reach yields nothing.
     """
     if seed is None:
         seed = dh.home()
     dh.check_limits(seed)
     if has_spherical_wrist(dh):
-        branches = ik_branches(dh, target)
-        for j in nearest_first(branches, seed):
-            yield branches[j]
+        q, ok = ik_branch_array(dh, target[None])
+        branches = q[0, ok[0]]
+        yield from (branches[j] for j in nearest_first(branches, seed))
         return
     reach = float(np.sum(np.abs(dh.a)) + np.sum(np.abs(dh.d)) + dh.tool_offset)
-    if np.linalg.norm(target.position) > reach:
+    if np.linalg.norm(target[:3, 3]) > reach:
         return
     rng = np.random.default_rng(0 if rng is None else rng)
-    T_target = target.matrix()
     q0, found, failed = seed, 0, 0
     while found < DLS_BRANCHES:
-        q = _dls_solve(dh, T_target, q0)
+        q = _dls_solve(dh, target, q0)
         if q is not None:
             found, failed = found + 1, 0
             yield q
@@ -373,8 +369,8 @@ def ik_solutions(dh: DHTable, target: Pose, seed: np.ndarray = None, rng=None):
 
 
 def inverse_kinematics(dh: DHTable, target: Pose, seed: np.ndarray = None, rng=None) -> np.ndarray:
-    """The first of ik_solutions; raises NoSolution when there is none."""
-    for q in ik_solutions(dh, target, seed, rng):
+    """The first of ik_solutions for the Pose `target`; raises NoSolution when there is none."""
+    for q in ik_solutions(dh, target.matrix(), seed, rng):
         return q
     raise NoSolution("no inverse-kinematics solution reaches the pose")
 
@@ -393,13 +389,20 @@ def unit_normal(alpha_y, alpha_z) -> np.ndarray:
     return n / np.sqrt(row_dot(n, n))[..., None]
 
 
-def magnet_pose_for_field_direction(sample, alpha_y: float, alpha_z: float, standoff: float) -> Pose:
-    """Magnet-centre pose at sample - standoff*n, axis along n(alpha_y, alpha_z)."""
+def magnet_poses(sample, alpha_y, alpha_z, standoff):
+    """The magnet poses of field directions: the angles (...) wrapped to (-pi, pi],
+    the axes n (..., 3) of the wrapped direction and the positions sample - standoff*n."""
     if standoff <= 0:
         raise ValueError("standoff must be > 0")
-    sample = np.asarray(sample, dtype=float)
-    p = sample - standoff * unit_normal(alpha_y, alpha_z)
-    return Pose(p[0], p[1], p[2], 0.0, alpha_y, alpha_z)
+    alpha_y, alpha_z = normalize_angle(alpha_y), normalize_angle(alpha_z)
+    n = unit_normal(alpha_y, alpha_z)
+    return alpha_y, alpha_z, n, np.asarray(sample, dtype=float) - standoff * n
+
+
+def magnet_pose_for_field_direction(sample, alpha_y: float, alpha_z: float, standoff: float) -> Pose:
+    """The Pose of magnet_poses for one direction (position and axis as documented there)."""
+    ay, az, _, p = magnet_poses(sample, alpha_y, alpha_z, standoff)
+    return Pose(p[0], p[1], p[2], 0.0, ay, az)
 
 
 def angles_for_direction(n) -> tuple[float, float]:

@@ -13,12 +13,14 @@ import numpy as np
 TAU = 2.0 * math.pi
 
 
-def normalize_angle(a: float) -> float:
-    """Wrap an angle to the half-open interval (-pi, pi], ties toward +pi."""
-    r = math.remainder(float(a), TAU)
-    if r <= -math.pi:
-        r += TAU
-    return r
+def normalize_angle(a):
+    """Wrap angles to (-pi, pi], ties toward +pi; an array broadcasts, a scalar gives a float.
+
+    fmod and each 2 pi correction are exact, so each result is math.remainder(a, TAU),
+    moved into (-pi, pi], bit for bit."""
+    r = np.fmod(a, TAU)
+    r = np.where(r > math.pi, r - TAU, np.where(r <= -math.pi, r + TAU, r))
+    return float(r) if r.ndim == 0 else r
 
 
 def row_dot(a, b) -> np.ndarray:
@@ -30,23 +32,16 @@ def row_dot(a, b) -> np.ndarray:
     return (np.asarray(a)[..., None, :] @ np.asarray(b)[..., :, None])[..., 0, 0]
 
 
-def rot_x(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def rot_y(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def rot_z(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def euler_to_matrix(ax: float, ay: float, az: float) -> np.ndarray:
-    return rot_z(az) @ rot_y(ay) @ rot_x(ax)
+def euler_to_matrix(ax, ay, az) -> np.ndarray:
+    """Rz(az) @ Ry(ay) @ Rx(ax); angle arrays of shape (...) give (..., 3, 3)."""
+    angles = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (az, ay, ax)))
+    R = np.zeros((3,) + angles[0].shape + (3, 3))
+    for M, a, (i, j) in zip(R, angles, ((0, 1), (2, 0), (1, 2))):  # the plane each turns
+        c, s = np.cos(a), np.sin(a)
+        M[..., i, i] = M[..., j, j] = c
+        M[..., i, j], M[..., j, i] = -s, s
+        M[..., 3 - i - j, 3 - i - j] = 1.0
+    return R[0] @ R[1] @ R[2]
 
 
 def matrix_to_euler(R: np.ndarray) -> tuple[float, float, float]:

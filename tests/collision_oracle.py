@@ -13,7 +13,7 @@ that clears wins.
 
 import numpy as np
 
-from fieldarm.kinematics import frame_chain, ik_branches
+from fieldarm.kinematics import frame_chain, ik_branch_array
 
 
 def _point_triangle_closest(p, a, b, c):
@@ -118,7 +118,8 @@ def pose_feasibility(pose, dh, triangles, seed):
     """(status, joints) of one pose, decided one branch and one capsule at a time."""
     hits = {}
     first = None
-    for q in sorted(ik_branches(dh, pose), key=lambda q: float(np.linalg.norm(q - seed))):
+    q, ok = ik_branch_array(dh, pose.matrix()[None])
+    for q in sorted(q[0, ok[0]], key=lambda q: float(np.linalg.norm(q - seed))):
         if first is None:
             first = q
         origins = [f[:3, 3] for f in frame_chain(dh, q)]

@@ -7,13 +7,24 @@ import numpy as np
 import pytest
 
 from fieldarm.environment import TriangleMesh
-from fieldarm.kinematics import default_dh_table
+from fieldarm.kinematics import default_dh_table, ik_branch_array
 from fieldarm.magnetostatics import default_magnet_spec
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 SAMPLE = np.array([0.2, 0.0, 0.3])
 STANDOFF = 0.16
+
+
+def ik_branches(dh, pose):
+    """Every IK branch of a spherical-wrist table for one Pose: ik_branch_array on its frame."""
+    q, ok = ik_branch_array(dh, pose.matrix()[None])
+    return list(q[0, ok[0]])
+
+
+def frames(poses):
+    """The (N, 4, 4) stack of target frames of a list of Poses."""
+    return np.array([pose.matrix() for pose in poses])
 
 
 def _fresh(args, env=None, check=True):

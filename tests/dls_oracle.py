@@ -53,7 +53,7 @@ def pose_feasibility(pose, dh, tree, seed, rng) -> Search:
     (build_trees), Collision with the first solve if every solve collides,
     IkFailure if the first fails."""
     if not _in_reach(dh, pose):
-        return Search(PoseFeasibility(pose, FeasibilityStatus.IK_FAILURE, None), 0, 0)
+        return Search(PoseFeasibility(FeasibilityStatus.IK_FAILURE, None), 0, 0)
     found = []
     solves = 0
     for _ in range(BRANCHES):
@@ -63,12 +63,12 @@ def pose_feasibility(pose, dh, tree, seed, rng) -> Search:
             break
         found.append(q)
         if not _capsule_hits(_capsules(dh, q), dh.link_radii, tree).any():
-            return Search(PoseFeasibility(pose, FeasibilityStatus.REACHABLE, q), len(found),
+            return Search(PoseFeasibility(FeasibilityStatus.REACHABLE, q), len(found),
                           solves)
         seed = rng.uniform(dh.q_min, dh.q_max)
     if not found:
-        return Search(PoseFeasibility(pose, FeasibilityStatus.IK_FAILURE, None), 0, solves)
-    return Search(PoseFeasibility(pose, FeasibilityStatus.COLLISION, found[0]), len(found), solves)
+        return Search(PoseFeasibility(FeasibilityStatus.IK_FAILURE, None), 0, solves)
+    return Search(PoseFeasibility(FeasibilityStatus.COLLISION, found[0]), len(found), solves)
 
 
 def partition_pose_dictionary(poses, dh, tree, seed, random_seed) -> list[Search]:

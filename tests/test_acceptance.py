@@ -146,9 +146,10 @@ def test_criterion_05_replacement_algorithm(walled_config_path):
     t0 = time.time()
     ay = np.deg2rad(np.linspace(30.0, 85.0, 6))
     az = np.deg2rad(np.linspace(5.0, 85.0, 6))
-    points = sphere_segment_scan(cfg.sample, ay, az, STANDOFF, cfg.magnet)
-    parts = partition_pose_dictionary([p.pose for p in points], cfg.dh, cfg.environment)
-    forbidden = [p.pose for p in parts if p.status is FeasibilityStatus.COLLISION]
+    scan = sphere_segment_scan(cfg.sample, ay, az, STANDOFF, cfg.magnet)
+    parts = partition_pose_dictionary(scan.frames, cfg.dh, cfg.environment)
+    forbidden = [Pose(*scan.positions[i], 0.0, scan.alpha_y[i], scan.alpha_z[i])
+                 for i, p in enumerate(parts) if p.status is FeasibilityStatus.COLLISION]
     replaced = 0
     for pose in forbidden:
         try:
@@ -277,13 +278,13 @@ def test_criterion_10_scan_invariants():
     spec = default_magnet_spec()
     ay = np.linspace(0.0, np.pi / 2, 19)
     az = np.linspace(0.0, np.pi / 2, 19)
-    points = sphere_segment_scan(SAMPLE, ay, az, STANDOFF, spec)
-    mags = np.array([np.linalg.norm(p.predicted_field) for p in points])
+    scan = sphere_segment_scan(SAMPLE, ay, az, STANDOFF, spec)
+    mags = np.array([np.linalg.norm(B) for B in scan.fields])
     spread = float((mags.max() - mags.min()) / mags.mean())
-    coords = {(round(p.alpha_y, 12), round(p.alpha_z, 12)) for p in points}
-    bijective = len(coords) == len(points) == 361
-    errors = [angular_error(p.predicted_field, unit_normal(p.alpha_y, p.alpha_z))
-              for p in points]
+    coords = {(round(a, 12), round(z, 12)) for a, z in zip(scan.alpha_y, scan.alpha_z)}
+    bijective = len(coords) == len(scan.fields) == 361
+    errors = [angular_error(B, unit_normal(a, z))
+              for a, z, B in zip(scan.alpha_y, scan.alpha_z, scan.fields)]
     grid_step = float(ay[1] - ay[0])
     mean_err = float(np.mean(errors))
     report(10, spread < 0.01 and bijective and mean_err <= grid_step,

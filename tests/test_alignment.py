@@ -42,23 +42,23 @@ from conftest import CONFIG_DIR, SAMPLE, STANDOFF
 
 
 def test_scan_single_point_geometry(spec):
-    pts = sphere_segment_scan(SAMPLE, [0.0], [0.0], STANDOFF, spec)
-    assert len(pts) == 1
+    scan = sphere_segment_scan(SAMPLE, [0.0], [0.0], STANDOFF, spec)
+    assert scan.frames.shape == (1, 4, 4)
     # magnet sits on the -x side of the sample; field at the sample is +x dominant
-    assert pts[0].pose.x < SAMPLE[0]
-    B = pts[0].predicted_field
+    assert scan.positions[0, 0] < SAMPLE[0]
+    B = scan.fields[0]
     assert B[0] > 0 and B[0] > 10 * abs(B[1]) and B[0] > 10 * abs(B[2])
 
 
 def test_scan_meander_order_and_bijection(spec):
     ay = np.linspace(0.2, 1.0, 5)
     az = np.linspace(0.1, 1.2, 4)
-    pts = sphere_segment_scan(SAMPLE, ay, az, STANDOFF, spec)
-    assert [p.order_index for p in pts] == list(range(20))
-    seen = {(round(p.alpha_y, 12), round(p.alpha_z, 12)) for p in pts}
+    scan = sphere_segment_scan(SAMPLE, ay, az, STANDOFF, spec)
+    assert all(len(column) == 20 for column in scan)
+    seen = {(round(a, 12), round(z, 12)) for a, z in zip(scan.alpha_y, scan.alpha_z)}
     assert len(seen) == 20  # bijective onto the grid
     for k in range(5):
-        row = [p.alpha_z for p in pts[k * 4:(k + 1) * 4]]
+        row = scan.alpha_z[k * 4:(k + 1) * 4]
         expected = list(az) if k % 2 == 0 else list(az[::-1])
         assert np.allclose(row, expected)
 
@@ -66,8 +66,7 @@ def test_scan_meander_order_and_bijection(spec):
 def test_scan_constant_magnitude(spec):
     ay = np.linspace(0.0, np.pi / 2, 7)
     az = np.linspace(0.0, np.pi / 2, 7)
-    pts = sphere_segment_scan(SAMPLE, ay, az, STANDOFF, spec)
-    mags = np.array([np.linalg.norm(p.predicted_field) for p in pts])
+    mags = np.linalg.norm(sphere_segment_scan(SAMPLE, ay, az, STANDOFF, spec).fields, axis=1)
     assert (mags.max() - mags.min()) / mags.mean() < 0.01
 
 
@@ -270,12 +269,12 @@ def test_replace_final_pose_forbidden(monkeypatch, spec, arm):
         SAMPLE, np.deg2rad(30.0), np.deg2rad(53.0), STANDOFF
     )
 
-    def feasibility(poses, dh, tree, seed, rngs):
-        def ok(p):  # a candidate keeps the forbidden pose's angles; a re-aimed pose does not
-            return p is not forbidden and (p.alpha_y, p.alpha_z) == (forbidden.alpha_y,
-                                                                      forbidden.alpha_z)
-        return [PoseFeasibility(p, FeasibilityStatus.REACHABLE if ok(p)
-                                else FeasibilityStatus.COLLISION, dh.home()) for p in poses]
+    def feasibility(frames, dh, tree, seed, rngs):
+        def ok(T):  # a candidate keeps the forbidden pose's rotation; a re-aimed pose does not
+            F = forbidden.matrix()
+            return not np.array_equal(T, F) and np.array_equal(T[:3, :3], F[:3, :3])
+        return [PoseFeasibility(FeasibilityStatus.REACHABLE if ok(T)
+                                else FeasibilityStatus.COLLISION, dh.home()) for T in frames]
 
     monkeypatch.setattr(fieldarm.environment, "feasibility_batch", feasibility)
     with pytest.raises(FinalPoseForbidden):
@@ -367,9 +366,9 @@ def _replace_beside(spec, forbidden, axis, steps):
         brackets.append((magnitude, target, lo, hi))
         return held(magnitude, target, lo, hi, tol)
 
-    def feasibility(poses, dh, tree, seed, rngs):
-        return [PoseFeasibility(p, FeasibilityStatus.COLLISION if p is forbidden
-                                else FeasibilityStatus.REACHABLE, dh.home()) for p in poses]
+    def feasibility(frames, dh, tree, seed, rngs):
+        return [PoseFeasibility(FeasibilityStatus.COLLISION if np.array_equal(T, forbidden.matrix())
+                                else FeasibilityStatus.REACHABLE, dh.home()) for T in frames]
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(alignment, "_bisect_held", recorded)

@@ -11,7 +11,7 @@ import yaml
 from fieldarm import alignment, cli, nvspin
 from fieldarm.alignment import CalibrationResult
 from fieldarm.cli import build_parser, main
-from fieldarm.kinematics import magnet_pose_for_field_direction
+from fieldarm.kinematics import Pose, magnet_pose_for_field_direction
 from fieldarm.magnetostatics import cylinder_field, default_magnet_spec
 from fieldarm.nvspin import GAMMA_E_DEFAULT, characteristic_roots, field_polar_angle
 
@@ -152,6 +152,27 @@ def test_partition_rows_do_not_depend_on_seed(tmp_path, walled_config_path):
         assert f"# seed {seed}\n" in text
         rows.append([ln for ln in text.splitlines() if not ln.startswith("#")])
     assert rows[0] == rows[1]
+
+
+def test_readme_scan_and_partition_build_no_pose(tmp_path, monkeypatch, walled_config_path):
+    """The README's scan and partition carry their grid as arrays from scan to
+    verdict: main() builds no Pose object for either."""
+    built = []
+    post_init = Pose.__post_init__
+
+    def counted(pose):
+        built.append(pose)
+        post_init(pose)
+
+    monkeypatch.setattr(Pose, "__post_init__", counted)
+    assert main(["scan", "--ay-start", "0", "--ay-stop", "90", "--ay-steps", "19",
+                 "--az-start", "0", "--az-stop", "90", "--az-steps", "19",
+                 "--standoff-m", "0.16", "--out", str(tmp_path / "scan.csv")]) == 0
+    assert main(["--config", walled_config_path, "partition",
+                 "--ay-start", "30", "--ay-stop", "85", "--ay-steps", "6",
+                 "--az-start", "5", "--az-stop", "85", "--az-steps", "6",
+                 "--out", str(tmp_path / "partition.csv")]) == 0
+    assert len(built) == 0
 
 
 def _split_walled(tmp_path):

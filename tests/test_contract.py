@@ -485,7 +485,7 @@ NEAR = st.floats(0.05, 0.25)
 @fuzz(10)
 @given(ay=st.tuples(ANGLE, ANGLE), az=st.tuples(ANGLE, ANGLE), turns=st.sampled_from([-1, 1]),
        standoff=NEAR)
-@example(ay=(0.0, 0.0), az=(0.0, 29.8125), turns=-1, standoff=1.0).xfail(
+@example(ay=(16.0, 16.0), az=(35.0, 35.0), turns=-1, standoff=1.0).xfail(
     reason="cylinder_field loses digits to cancellation in the far field", raises=AssertionError)
 def test_a_turn_more_on_every_angle_gives_the_same_field(ay, az, turns, standoff):
     """scan, schedule and replace, each with 360 deg added to every angle flag:

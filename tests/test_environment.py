@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fieldarm.environment
+from fieldarm.alignment import sphere_segment_scan
 from fieldarm.config import load_config
 from fieldarm.environment import (
     AabbTree,
@@ -22,17 +23,17 @@ from fieldarm.environment import (
     segment_triangle_distance,
 )
 from fieldarm.errors import DegenerateGeometry, ParseError
+from fieldarm.magnetostatics import cylinder_field
 from fieldarm.kinematics import (
     POS_TOL,
     Pose,
     forward_kinematics,
     has_spherical_wrist,
-    ik_branches,
     magnet_pose_for_field_direction,
 )
 
 import dls_oracle
-from conftest import CONFIG_DIR, STANDOFF
+from conftest import CONFIG_DIR, STANDOFF, frames, ik_branches
 
 WALLED = load_config(os.path.join(CONFIG_DIR, "walled.yaml"))
 # walled.yaml with a4 = 0.01 m: no spherical wrist
@@ -288,8 +289,8 @@ def test_pose_feasibility_statuses(arm, wall):
 
 def test_partition_deterministic(arm, wall):
     poses = [Pose(0.2, y, 0.3, 0.0, 0.5, 0.2) for y in np.linspace(-0.12, 0.12, 6)]
-    first = partition_pose_dictionary(poses, arm, [wall])
-    second = partition_pose_dictionary(poses, arm, [wall])
+    first = partition_pose_dictionary(frames(poses), arm, [wall])
+    second = partition_pose_dictionary(frames(poses), arm, [wall])
     assert [r.status for r in first] == [r.status for r in second]
     for a, b in zip(first, second):
         if a.joints is not None:
@@ -298,7 +299,7 @@ def test_partition_deterministic(arm, wall):
 
 def test_partition_mixed_statuses(arm, wall):
     poses = [Pose(0.2, 0.1, 0.3, 0.0, 0.5, 0.2), Pose(0.2, -0.15, 0.3, 0.0, 0.5, 0.2)]
-    results = partition_pose_dictionary(poses, arm, [wall])
+    results = partition_pose_dictionary(frames(poses), arm, [wall])
     assert results[0].status is FeasibilityStatus.REACHABLE
     assert results[1].status is not FeasibilityStatus.REACHABLE
 
@@ -352,6 +353,37 @@ def test_pose_feasibility_is_brute_force_over_branches(name, ay, az, u):
         assert any(np.array_equal(result.joints, q) for q in branches)
 
 
+@pytest.mark.parametrize("config, steps", [(WALLED, 4), (BENT, 2)], ids=["walled", "bent"])
+@given(ay=st.tuples(st.floats(-3600.0, 3600.0), st.floats(-3600.0, 3600.0)),
+       az=st.tuples(st.floats(-3600.0, 3600.0), st.floats(-3600.0, 3600.0)),
+       random_seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=6, deadline=None)
+def test_a_stack_is_its_poses_checked_one_at_a_time(config, steps, ay, az, random_seed):
+    """A scan's frames, positions, axes and fields, and the verdicts of the
+    partition of its frames, equal row by row those of the same pose made by
+    magnet_pose_for_field_direction and checked alone by pose_feasibility from
+    the running seed with the row's generator."""
+    ay_grid = np.radians(np.linspace(*ay, steps))
+    az_grid = np.radians(np.linspace(*az, steps))
+    scan = sphere_segment_scan(config.sample, ay_grid, az_grid, STANDOFF, config.magnet)
+    results = partition_pose_dictionary(scan.frames, config.dh, config.environment, random_seed)
+    seed = config.dh.home()
+    for i, result in enumerate(results):
+        pose = magnet_pose_for_field_direction(config.sample, scan.alpha_y[i], scan.alpha_z[i],
+                                               STANDOFF)
+        assert scan.frames[i].tobytes() == pose.matrix().tobytes()
+        assert scan.positions[i].tobytes() == pose.position.tobytes()
+        assert scan.axes[i].tobytes() == pose.axis.tobytes()
+        field = cylinder_field(config.magnet, pose.position, pose.axis, config.sample)
+        assert scan.fields[i].tobytes() == field.tobytes()
+        alone = pose_feasibility(pose, config.dh, config.environment, seed, [random_seed, i])
+        assert alone.status is result.status
+        assert (alone.joints is None and result.joints is None) or np.array_equal(
+            alone.joints, result.joints)
+        if alone.joints is not None:
+            seed = alone.joints
+
+
 def test_non_spherical_table_uses_seeded_dls_fallback(arm, wall, monkeypatch):
     a = arm.a.copy()
     a[3] = 0.01
@@ -364,17 +396,17 @@ def test_non_spherical_table_uses_seeded_dls_fallback(arm, wall, monkeypatch):
     monkeypatch.setattr(fieldarm.environment, "ik_branch_array", no_closed_form)
     poses = [Pose(0.2, 0.1, 0.3, 0.0, 0.5, 0.2), Pose(0.2, 0.05, 0.3, 0.0, 0.5, 0.2),
              Pose(0.2, -0.15, 0.3, 0.0, 0.5, 0.2)]
-    first = partition_pose_dictionary(poses, bent, [wall], random_seed=7)
-    again = partition_pose_dictionary(poses, bent, [wall], random_seed=7)
+    first = partition_pose_dictionary(frames(poses), bent, [wall], random_seed=7)
+    again = partition_pose_dictionary(frames(poses), bent, [wall], random_seed=7)
     assert [r.status for r in first] == [r.status for r in again]
     for r, s in zip(first, again):
         assert (r.joints is None and s.joints is None) or np.array_equal(r.joints, s.joints)
     assert first[0].status is FeasibilityStatus.REACHABLE
     assert first[2].status is not FeasibilityStatus.REACHABLE
-    for r in first:
+    for pose, r in zip(poses, first):
         if r.status is FeasibilityStatus.REACHABLE:
             reached = forward_kinematics(bent, r.joints)
-            assert np.linalg.norm(reached.position - r.pose.position) <= POS_TOL
+            assert np.linalg.norm(reached.position - pose.position) <= POS_TOL
             assert check_collision(bent, r.joints, [wall]).clear
 
 
@@ -388,7 +420,7 @@ def _partition_against_dls_oracle(angles, u, random_seed):
     seed = dh.q_min + np.asarray(u) * (dh.q_max - dh.q_min)
     expected = dls_oracle.partition_pose_dictionary(poses, dh, build_trees(env), seed,
                                                     random_seed)
-    got = feasibility_batch(poses, dh, build_trees(env), seed,
+    got = feasibility_batch(frames(poses), dh, build_trees(env), seed,
                             [[random_seed, i] for i in range(len(poses))])
     for want, result in zip(expected, got):
         assert result.status is want.result.status

@@ -23,20 +23,35 @@ from fieldarm.kinematics import (
     forward_kinematics,
     frame_chain,
     has_spherical_wrist,
-    ik_branches,
     inverse_kinematics,
     magnet_pose_for_field_direction,
     quantize_position,
     unit_normal,
 )
-from fieldarm.rotations import euler_to_matrix, matrix_to_euler, normalize_angle, rot_y, rot_z
+from fieldarm.rotations import TAU, euler_to_matrix, matrix_to_euler, normalize_angle
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, ik_branches
 
 BUNDLED_TABLES = {name: load_config(os.path.join(CONFIG_DIR, f"{name}.yaml")).dh
                   for name in ("default", "walled")}
 # a joint configuration as fractions of each joint's range, limits included
 UNIT6 = st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6).map(np.array)
+
+
+# the rotation matrices one angle at a time, from math.cos and math.sin
+def rot_x(a):
+    c, s = math.cos(a), math.sin(a)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+def rot_y(a):
+    c, s = math.cos(a), math.sin(a)
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+
+
+def rot_z(a):
+    c, s = math.cos(a), math.sin(a)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 def _in_range(dh, u):
@@ -302,6 +317,39 @@ def test_normalize_angle_range_and_equivalence(t):
     assert -math.pi < n <= math.pi + 1e-12
     assert math.isclose(math.cos(n), math.cos(t), abs_tol=1e-9)
     assert math.isclose(math.sin(n), math.sin(t), abs_tol=1e-9)
+
+
+def _remainder_angle(a):
+    """normalize_angle's scalar form: math.remainder, then -pi moved to +pi."""
+    r = math.remainder(float(a), TAU)
+    if r <= -math.pi:
+        r += TAU
+    return r
+
+
+_PI_NEIGHBOURS = [math.nextafter(math.pi, 0.0), math.nextafter(math.pi, 4.0)]
+
+
+@given(st.lists(st.floats(-20 * math.pi, 20 * math.pi) | st.floats(-1e6, 1e6), min_size=1,
+                max_size=20))
+@example([math.pi, -math.pi, *_PI_NEIGHBOURS, *(-x for x in _PI_NEIGHBOURS)])
+@example([3 * math.pi, -3 * math.pi, 20 * math.pi, -20 * math.pi, -0.0, 0.0])
+@settings(max_examples=300, deadline=None)
+def test_normalize_angle_is_the_remainder_form_bit_for_bit(angles):
+    want = np.array([_remainder_angle(a) for a in angles])
+    assert normalize_angle(np.array(angles)).tobytes() == want.tobytes()
+    for a, w in zip(angles, want):
+        got = normalize_angle(a)
+        assert type(got) is float and np.array(got).tobytes() == w.tobytes()
+
+
+@given(st.lists(st.tuples(ANGLE, ANGLE, ANGLE), min_size=1, max_size=20))
+@settings(max_examples=100, deadline=None)
+def test_euler_to_matrix_batch_is_the_matrix_product_bit_for_bit(triples):
+    want = np.array([rot_z(az) @ rot_y(ay) @ rot_x(ax) for ax, ay, az in triples])
+    ax, ay, az = np.array(triples).T
+    assert euler_to_matrix(ax, ay, az).tobytes() == want.tobytes()
+    assert euler_to_matrix(*triples[0]).tobytes() == want[0].tobytes()
 
 
 def test_euler_matrix_round_trip():
